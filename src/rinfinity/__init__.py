@@ -1,11 +1,25 @@
 """Exact computational toolkit for Thompson-like groups.
 
-Subpackages cover exact arithmetic in Q(sqrt5), piecewise-linear
-homeomorphism groups, tree-pair and braided tree diagrams, the
-Lodha-Moore transducer groups, Smith normal form and twisted-conjugacy
-machinery on abelian groups, worked case studies, and a heuristic
-Cayley-ball explorer.  Everything computes exactly; there is no floating
-point in any kernel.
+Modules:
+
+- numbers: exact arithmetic in Q and Q(sqrt5), and the additive and
+  multiplicative subgroups of R that PL groups are built from.
+- plmaps: piecewise-linear homeomorphisms of [0, ell], membership in
+  Bieri-Strebel groups G([0, ell]; A, P), and endpoint characters.
+- treepairs: Thompson's group F as reduced tree pairs, with a PL
+  realization.
+- braids: braid words, decided by free and handle reduction.
+- braided: braided paired tree diagrams and their tree-depth characters.
+- lodha_moore: the four Lodha-Moore groups as transducer words, with
+  depth-bounded equality and characters.
+- intlinalg: Smith normal form, lattice quotients, and finitely generated
+  abelian groups with automorphisms.
+- finite_groups: the groups of order <= 16 as multiplication tables,
+  their automorphisms, and brute-force twisted classes.
+- reidemeister: character-invariance certificates for infinite
+  Reidemeister numbers.
+
+Everything computes exactly; there is no floating point in any kernel.
 """
 
 __version__ = "0.1.0"

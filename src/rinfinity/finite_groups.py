@@ -1,7 +1,12 @@
 """Finite groups as multiplication tables: construction combinators, the
-full catalogue of groups of order <= 16, automorphism enumeration by
-images of a generating sequence, and the brute-force twisted-conjugacy
-oracle.
+full catalogue of groups of order <= 16, automorphism enumeration, and the
+brute-force twisted-conjugacy oracle.
+
+Automorphisms are enumerated by images of a generating sequence, chosen
+one generator at a time.  Candidate images are pruned by element order,
+by membership in the subgroup the earlier images generate, and by the
+size of that subgroup; each surviving assignment is verified on the whole
+table.
 
 Elements are 0..n-1 with 0 the identity; the table is a flat tuple with
 table[a * n + b] = a * b.
@@ -26,7 +31,7 @@ class FiniteGroup:
             if self.table[a * n] != a or self.table[a] != a:
                 raise ValueError("element 0 is not an identity")
 
-    @property
+    @cached_property
     def order(self) -> int:
         return int(len(self.table) ** 0.5 + 0.5)
 
@@ -75,14 +80,15 @@ class FiniteGroup:
         return tuple(gens)
 
     def subgroup_closure(self, elements) -> set[int]:
+        """The subgroup generated by elements: in a finite group, the
+        closure of {0} under right multiplication by them."""
+        n, table = self.order, self.table
         closed = {0}
         frontier = [0]
-        gens = [g for g in elements]
-        gens += [self.inverses[g] for g in gens]
         while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul(x, g)
+            row = frontier.pop() * n
+            for a in elements:
+                y = table[row + a]
                 if y not in closed:
                     closed.add(y)
                     frontier.append(y)
@@ -291,64 +297,90 @@ def small_groups_up_to_16() -> list[FiniteGroup]:
 
 
 def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms, as permutations of 0..n-1.
+    """All automorphisms, as permutations of 0..n-1, in lexicographic order
+    of the images of the generating sequence.
 
-    Candidate images of the generating sequence are filtered by element
-    order, extended to the whole group along the BFS word tree, and
-    verified on all (element, generator) products, which suffices."""
+    Images of the generators g_0, g_1, ... are chosen one at a time.  A
+    candidate image b of g_i is skipped when its order differs from that
+    of g_i, when b lies in the subgroup generated by the earlier images, or
+    (below the last generator) when <b_0..b_i> differs in size from
+    <g_0..g_i>.  An automorphism passes all three tests, so only assignments
+    that are not automorphisms are skipped.  Every full assignment is still
+    extended to the whole group along the BFS word tree and verified on all
+    (element, generator) products and for bijectivity."""
     n = g.order
     gens = g.generating_sequence
+    k = len(gens)
+    if k == 0:
+        return [(0,)]
     orders = g.element_orders
     tree = g.word_tree
-    # topological order of the word tree (parents before children)
-    topo: list[int] = [0]
-    seen = {0}
-    while len(topo) < n:
-        for e in range(n):
-            if e not in seen and tree[e][0] in seen:
-                topo.append(e)
-                seen.add(e)
-    candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in gens]
     gen_pos = {a: i for i, a in enumerate(gens)}
-    out: list[tuple[int, ...]] = []
-    images = [0] * n
-
-    def build_checked(assignment) -> tuple[int, ...] | None:
-        for e in topo[1:]:
+    # the word tree in topological order (parents before children), each
+    # element with its parent and the position of its last generator
+    steps: list[tuple[int, int, int]] = []
+    seen = {0}
+    while len(seen) < n:
+        for e in range(1, n):
             parent, gen = tree[e]
-            images[e] = g.mul(images[parent], assignment[gen_pos[gen]])
-        if len(set(images)) != n:
-            return None
-        # f(x * gen) == f(x) * f(gen) for all x and generators extends to a
-        # homomorphism check on all products, by induction on word length.
-        for x in range(n):
-            row = x * n
-            for i, a in enumerate(gens):
-                if images[g.table[row + a]] != g.mul(images[x], assignment[i]):
-                    return None
-        return tuple(images)
-
-    def rec(i: int, assignment: list[int]) -> None:
-        if i == len(gens):
-            result = build_checked(assignment)
-            if result is not None:
-                out.append(result)
-            return
-        for b in candidates[i]:
-            assignment.append(b)
-            rec(i + 1, assignment)
-            assignment.pop()
-
-    rec(0, [])
+            if e not in seen and parent in seen:
+                steps.append((e, parent, gen_pos[gen]))
+                seen.add(e)
+    sizes = [len(g.subgroup_closure(gens[: i + 1])) for i in range(k)]
+    candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in gens]
+    columns = [g.table[c::n] for c in range(n)]
+    out: list[tuple[int, ...]] = []
+    assignment = [0] * k
+    images = [0] * n
+    # spans[i] is the subgroup generated by assignment[:i]
+    spans: list[set[int]] = [{0}] * k
+    stack = [iter(candidates[0])]
+    while stack:
+        i = len(stack) - 1
+        span = spans[i]
+        for b in stack[i]:
+            if b in span:
+                continue
+            assignment[i] = b
+            if i == k - 1:
+                if _extend_checked(columns, n, gens, steps, assignment, images):
+                    out.append(tuple(images))
+                continue
+            closure = g.subgroup_closure(assignment[: i + 1])
+            if len(closure) == sizes[i]:
+                spans[i + 1] = closure
+                stack.append(iter(candidates[i + 1]))
+                break
+        else:
+            stack.pop()
     return out
+
+
+def _extend_checked(columns, n, gens, steps, assignment, images) -> bool:
+    """Fill images with the extension of gens[i] -> assignment[i] along the
+    word tree; True iff it is a bijective homomorphism.  columns[c][x] is
+    x * c."""
+    image_columns = [columns[b] for b in assignment]
+    for e, parent, i in steps:
+        images[e] = image_columns[i][images[parent]]
+    if len(set(images)) != n:
+        return False
+    # f(x * gen) == f(x) * f(gen) for all x and generators extends to a
+    # homomorphism check on all products, by induction on word length.
+    image_of = images.__getitem__
+    for a, column in zip(gens, image_columns):
+        if list(map(image_of, columns[a])) != list(map(column.__getitem__, images)):
+            return False
+    return True
 
 
 def is_automorphism(g: FiniteGroup, phi) -> bool:
     n = g.order
     if sorted(phi) != list(range(n)):
         return False
+    table = g.table
     return all(
-        phi[g.mul(a, b)] == g.mul(phi[a], phi[b]) for a in range(n) for b in range(n)
+        phi[table[a * n + b]] == table[phi[a] * n + phi[b]] for a in range(n) for b in range(n)
     )
 
 
@@ -357,7 +389,9 @@ def twisted_classes(g: FiniteGroup, phi) -> tuple[int, list[list[int]]]:
     if not is_automorphism(g, phi):
         raise ValueError("phi is not an automorphism")
     n = g.order
-    gens = g.generating_sequence
+    table = g.table
+    inverses = g.inverses
+    twists = [(h * n, inverses[phi[h]]) for h in g.generating_sequence]
     seen = [False] * n
     classes: list[list[int]] = []
     for start in range(n):
@@ -368,8 +402,8 @@ def twisted_classes(g: FiniteGroup, phi) -> tuple[int, list[list[int]]]:
         stack = [start]
         while stack:
             a = stack.pop()
-            for h in gens:
-                b = g.mul(g.mul(h, a), g.inverses[phi[h]])
+            for row, twist in twists:
+                b = table[table[row + a] * n + twist]
                 if not seen[b]:
                     seen[b] = True
                     orbit.append(b)

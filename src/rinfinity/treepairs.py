@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .numbers import ExactNumber, ParseError
+from .numbers import ONE, AdditiveGroup, ExactNumber, ParseError, SlopeGroup
 from .plmaps import PLGroupSpec, PLMap, is_member
 
 
@@ -290,16 +291,9 @@ def f_characters(d: TreePair) -> tuple[int, int]:
     )
 
 
-DYADIC_SPEC_CACHE: PLGroupSpec | None = None
-
-
+@cache
 def _dyadic_spec() -> PLGroupSpec:
-    global DYADIC_SPEC_CACHE
-    if DYADIC_SPEC_CACHE is None:
-        from .numbers import ONE, AdditiveGroup, SlopeGroup
-
-        DYADIC_SPEC_CACHE = PLGroupSpec(ONE, AdditiveGroup.z_inv(2), SlopeGroup.of(2))
-    return DYADIC_SPEC_CACHE
+    return PLGroupSpec(ONE, AdditiveGroup.z_inv(2), SlopeGroup.of(2))
 
 
 def to_pl(d: TreePair) -> PLMap:

@@ -1,5 +1,8 @@
+import gc
+import itertools
 import random
 from collections import Counter
+from math import gcd
 
 from rinfinity.finite_groups import (
     FiniteGroup,
@@ -65,14 +68,70 @@ def test_q8_has_unique_involution():
     assert sum(1 for o in q16.element_orders if o == 2) == 1
 
 
+# |Aut(G)| for the non-cyclic groups of order <= 16 (|Aut(C_n)| is phi(n)):
+# GL(k, 2) for C2^k, GL(2, 3) for C3xC3, S4 for Q8 and A4.
+NONCYCLIC_AUT_ORDERS = {
+    "C2xC2": 6, "D3": 6, "C4xC2": 8, "C2xC2xC2": 168, "D4": 8, "Q8": 24,
+    "C3xC3": 48, "D5": 20, "C6xC2": 12, "D6": 12, "A4": 24, "Dic3": 12,
+    "D7": 42, "C8xC2": 16, "C4xC4": 96, "C4xC2xC2": 192,
+    "C2xC2xC2xC2": 20160, "D8": 32, "Dic4": 32, "SD16": 16, "M4(2)": 16,
+    "D4xC2": 64, "Q8xC2": 192, "C4:C4": 32, "(C2xC2):C4": 32, "D4oC4": 48,
+}
+
+
+def exhaustive_automorphisms(g):
+    """Oracle: every assignment of order-matching images to the generating
+    sequence, extended along the word tree and checked on the whole table."""
+    n = g.order
+    gens = g.generating_sequence
+    orders = g.element_orders
+    tree = g.word_tree
+    topo = [0]
+    while len(topo) < n:
+        topo += [e for e in range(n) if e not in topo and tree[e][0] in topo]
+    candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in gens]
+    out = []
+    for assignment in itertools.product(*candidates):
+        image_of_gen = dict(zip(gens, assignment))
+        images = [0] * n
+        for e in topo[1:]:
+            parent, gen = tree[e]
+            images[e] = g.mul(images[parent], image_of_gen[gen])
+        if len(set(images)) == n and all(
+            images[g.mul(x, a)] == g.mul(images[x], b)
+            for x in range(n)
+            for a, b in image_of_gen.items()
+        ):
+            out.append(tuple(images))
+    return out
+
+
 def test_automorphism_counts_known():
-    assert len(automorphisms(cyclic(5))) == 4
-    assert len(automorphisms(cyclic(8))) == 4
-    assert len(automorphisms(abelian_group((2, 2)))) == 6  # GL(2,2)
-    assert len(automorphisms(abelian_group((2, 2, 2)))) == 168  # GL(3,2)
-    assert len(automorphisms(dihedral(4))) == 8
-    assert len(automorphisms(dicyclic(2))) == 24  # Aut(Q8) = S4
-    assert len(automorphisms(alternating4())) == 24
+    for g in small_groups_up_to_16():
+        if g.name == f"C{g.order}":
+            expected = sum(1 for k in range(1, g.order + 1) if gcd(k, g.order) == 1)
+        else:
+            expected = NONCYCLIC_AUT_ORDERS[g.name]
+        assert len(automorphisms(g)) == expected, g.name
+
+
+def test_automorphisms_match_exhaustive_oracle():
+    # C2^4 is left out: the oracle tries 15^4 = 50625 assignments there.
+    for g in small_groups_up_to_16():
+        if g.name != "C2xC2xC2xC2":
+            assert set(automorphisms(g)) == set(exhaustive_automorphisms(g)), g.name
+
+
+def test_automorphisms_leave_no_cyclic_garbage():
+    g = abelian_group((2, 2, 2, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        autos = automorphisms(g)
+        del autos
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_automorphisms_are_automorphisms():
