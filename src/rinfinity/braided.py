@@ -18,13 +18,13 @@ from .treepairs import (
     LEAF,
     Tree,
     TreePair,
+    _growth,
     add_caret,
     collapse_caret,
     format_tree,
     leaf_count,
     left_depth,
     parse_tree,
-    refine,
     right_depth,
     right_vine,
     sibling_leaf_pairs,
@@ -80,32 +80,14 @@ def inverse(d: BraidedDiagram) -> BraidedDiagram:
     return BraidedDiagram(d.plus, d.braid.inverse(), d.minus)
 
 
-def _expansion_targets(current: Tree, goal: Tree) -> list[int]:
-    out: list[int] = []
-
-    def go(cur: Tree, gl: Tree, offset: int) -> int:
-        if cur.is_leaf:
-            if not gl.is_leaf:
-                out.append(offset + 1)
-            return 1
-        assert not gl.is_leaf
-        nl = go(cur.left, gl.left, offset)
-        return nl + go(cur.right, gl.right, offset + nl)
-
-    go(current, goal, 0)
-    return out
-
-
 def multiply(d1: BraidedDiagram, d2: BraidedDiagram) -> BraidedDiagram:
     """Glue plus(d1) to minus(d2) after expanding both to their common
-    refinement; the braids concatenate."""
-    target = refine(d1.plus, d2.minus)
-    while d1.plus != target:
-        perm = d1.braid.permutation()
-        j = _expansion_targets(d1.plus, target)[0]
-        d1 = expansion(d1, perm.index(j) + 1)
-    while d2.minus != target:
-        d2 = expansion(d2, _expansion_targets(d2.minus, target)[0])
+    refinement, one caret at a time (each expansion cables one strand);
+    the braids concatenate."""
+    while growth := _growth(d1.plus, d2.minus):
+        d1 = expansion(d1, d1.braid.permutation().index(growth[0][0]) + 1)
+    while growth := _growth(d2.minus, d1.plus):
+        d2 = expansion(d2, growth[0][0])
     return BraidedDiagram(d1.minus, d1.braid * d2.braid, d2.plus)
 
 
@@ -181,10 +163,6 @@ def standard_generators() -> dict[str, BraidedDiagram]:
         vine = right_vine(j)
         gens[f"beta{i}{j}"] = BraidedDiagram(vine, wrap_generator(i, j, j), vine)
     return gens
-
-
-def format_diagram(d: BraidedDiagram) -> str:
-    return str(d)
 
 
 def parse_diagram(text: str) -> BraidedDiagram:

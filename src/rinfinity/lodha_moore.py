@@ -76,14 +76,6 @@ class LMLetter:
         return f"{self.kind}({addr})" + ("'" if self.sign < 0 else "")
 
 
-def x_letter(*addr: int, sign: int = 1) -> LMLetter:
-    return LMLetter("x", tuple(addr), sign)
-
-
-def y_letter(*addr: int, sign: int = 1) -> LMLetter:
-    return LMLetter("y", tuple(addr), sign)
-
-
 @dataclass(frozen=True)
 class LMWord:
     letters: tuple[LMLetter, ...]
@@ -252,10 +244,6 @@ def evaluate_prefix(word: LMWord, seq: EventuallyPeriodicSeq, k: int) -> Bits:
         if len(out) >= k:
             return tuple(out[:k])
     raise RuntimeError("transducer failed to produce output (cap exceeded)")
-
-
-def apply_word(word: LMWord, seq: EventuallyPeriodicSeq, k: int) -> Bits:
-    return evaluate_prefix(word, seq, k)
 
 
 def x_image_of_address(s: Bits, t: Bits) -> Bits | None:

@@ -50,9 +50,10 @@ def caret(left: Tree, right: Tree) -> Tree:
 
 
 def leaf_count(t: Tree) -> int:
-    if t.is_leaf:
+    children = t.children
+    if children is None:
         return 1
-    return leaf_count(t.left) + leaf_count(t.right)
+    return leaf_count(children[0]) + leaf_count(children[1])
 
 
 def left_depth(t: Tree) -> int:
@@ -82,66 +83,103 @@ def right_vine(n: int) -> Tree:
     return t
 
 
+CARET = caret(LEAF, LEAF)
+
+
+def _graft(t: Tree, leaf: int, subtree: Tree) -> Tree:
+    """Replace the given leaf (1-based) by `subtree`, copying only the path
+    to it.  The walk stops at that leaf, so it is linear even on vines."""
+    stack: list[tuple[Tree, tuple | None]] = [(t, None)]  # (node, (parent, went right, path))
+    seen = 0
+    while stack:
+        node, path = stack.pop()
+        children = node.children
+        if children is not None:
+            stack += ((children[1], (node, True, path)), (children[0], (node, False, path)))
+            continue
+        seen += 1
+        if seen == leaf:
+            out = subtree
+            while path is not None:
+                parent, went_right, path = path
+                left, right = parent.children
+                out = caret(left, out) if went_right else caret(out, right)
+            return out
+    raise ValueError(f"leaf index {leaf} out of range 1..{seen}")
+
+
+def _collapse(t: Tree, leaves: set[int]) -> Tree:
+    """Replace each caret whose leaves are (i, i+1), i in `leaves`, by a
+    leaf, in one rebuild; untouched subtrees are shared."""
+    built: list[Tree] = []
+    stack: list[tuple[Tree, bool]] = [(t, False)]
+    offset = hits = 0
+    while stack:
+        node, children_done = stack.pop()
+        children = node.children
+        if children_done:
+            right, left = built.pop(), built.pop()
+            same = left is children[0] and right is children[1]
+            built.append(node if same else caret(left, right))
+        elif children is None:
+            offset += 1
+            built.append(node)
+        elif children[0].children is None and children[1].children is None and offset + 1 in leaves:
+            offset += 2
+            hits += 1
+            built.append(LEAF)
+        else:
+            stack += ((node, True), (children[1], False), (children[0], False))
+    if hits != len(leaves):
+        raise ValueError("no caret at that leaf position")
+    return built[0]
+
+
 def add_caret(t: Tree, leaf: int) -> Tree:
     """Replace the given leaf (1-based) by a caret."""
-
-    def go(node: Tree, offset: int) -> Tree:
-        if node.is_leaf:
-            return caret(LEAF, LEAF)
-        nl = leaf_count(node.left)
-        if leaf - offset <= nl:
-            return caret(go(node.left, offset), node.right)
-        return caret(node.left, go(node.right, offset + nl))
-
-    n = leaf_count(t)
-    if not 1 <= leaf <= n:
-        raise ValueError(f"leaf index {leaf} out of range 1..{n}")
-    return go(t, 0)
+    return _graft(t, leaf, CARET)
 
 
 def collapse_caret(t: Tree, leaf: int) -> Tree:
     """Replace the caret whose leaves are (leaf, leaf+1) by a leaf."""
-
-    def go(node: Tree, offset: int) -> Tree:
-        assert not node.is_leaf
-        nl = leaf_count(node.left)
-        if node.left.is_leaf and node.right.is_leaf:
-            if leaf == offset + 1:
-                return LEAF
-            raise ValueError("no caret at that leaf position")
-        if leaf - offset <= nl - (0 if node.left.is_leaf else 1):
-            if node.left.is_leaf:
-                raise ValueError("no caret at that leaf position")
-            return caret(go(node.left, offset), node.right)
-        return caret(node.left, go(node.right, offset + nl))
-
-    return go(t, 0)
+    return _collapse(t, {leaf})
 
 
 def sibling_leaf_pairs(t: Tree) -> list[int]:
-    """Leaf indices i such that leaves i and i+1 are children of one caret."""
+    """Increasing leaf indices i such that leaves i, i+1 form one caret."""
     out: list[int] = []
-
-    def go(node: Tree, offset: int) -> int:
-        if node.is_leaf:
-            return 1
-        if node.left.is_leaf and node.right.is_leaf:
+    stack = [t]
+    offset = 0
+    while stack:
+        children = stack.pop().children
+        if children is None:
+            offset += 1
+        elif children[0].children is None and children[1].children is None:
             out.append(offset + 1)
-            return 2
-        nl = go(node.left, offset)
-        return nl + go(node.right, offset + nl)
-
-    go(t, 0)
+            offset += 2
+        else:
+            stack += (children[1], children[0])
     return out
 
 
-def refine(t1: Tree, t2: Tree) -> Tree:
-    """Smallest common refinement (union of the two subdivision patterns)."""
-    if t1.is_leaf:
-        return t2
-    if t2.is_leaf:
-        return t1
-    return caret(refine(t1.left, t2.left), refine(t1.right, t2.right))
+def _growth(current: Tree, goal: Tree) -> list[tuple[int, Tree]]:
+    """Each (leaf of `current`, subtree of `goal` there) where `goal`
+    subdivides further, left to right.  Grafting them all turns `current`
+    into the common refinement of the two trees."""
+    out: list[tuple[int, Tree]] = []
+    stack = [(current, goal)]
+    offset = 0
+    while stack:
+        cur, gl = stack.pop()
+        if cur.children is None:
+            offset += 1
+            if gl.children is not None:
+                out.append((offset, gl))
+        elif gl.children is None:
+            offset += leaf_count(cur)
+        else:
+            stack += ((cur.children[1], gl.children[1]), (cur.children[0], gl.children[0]))
+    return out
 
 
 def leaf_intervals(t: Tree) -> list[tuple[Fraction, Fraction]]:
@@ -225,47 +263,34 @@ X1 = TreePair(parse_tree("(.((..).))"), parse_tree("(.(.(..)))"))
 
 def reduce(d: TreePair, order=None) -> TreePair:
     """Remove caret pairs (leaves i, i+1 forming a caret in both trees)
-    until none remain.  `order` optionally picks among the available
-    reductions, for confluence testing."""
+    until none remain.  Each pass collapses every common pair at once;
+    `order` instead picks one of them per pass, for confluence testing."""
     minus, plus = d.minus, d.plus
     while True:
-        common = sorted(set(sibling_leaf_pairs(minus)) & set(sibling_leaf_pairs(plus)))
+        in_plus = set(sibling_leaf_pairs(plus))
+        common = [i for i in sibling_leaf_pairs(minus) if i in in_plus]
         if not common:
-            return TreePair(minus, plus)
-        i = common[0] if order is None else order(common)
-        minus = collapse_caret(minus, i)
-        plus = collapse_caret(plus, i)
+            return d if minus is d.minus else TreePair(minus, plus)
+        picked = set(common) if order is None else {order(common)}
+        minus, plus = _collapse(minus, picked), _collapse(plus, picked)
 
 
-def expansion(d: TreePair, leaf: int) -> TreePair:
-    return TreePair(add_caret(d.minus, leaf), add_caret(d.plus, leaf))
-
-
-def _expansion_targets(current: Tree, goal: Tree) -> list[int]:
-    """Leaves of `current` at which `goal` subdivides further."""
-    out: list[int] = []
-
-    def go(cur: Tree, gl: Tree, offset: int) -> int:
-        if cur.is_leaf:
-            if not gl.is_leaf:
-                out.append(offset + 1)
-            return 1
-        assert not gl.is_leaf, "goal does not refine current tree"
-        nl = go(cur.left, gl.left, offset)
-        return nl + go(cur.right, gl.right, offset + nl)
-
-    go(current, goal, 0)
-    return out
+def expansion(d: TreePair, leaf: int, subtree: Tree = CARET) -> TreePair:
+    """Replace the given leaf of both trees by `subtree`: the composite of
+    the simple expansions, one per caret of `subtree`, that build it there."""
+    return TreePair(_graft(d.minus, leaf, subtree), _graft(d.plus, leaf, subtree))
 
 
 def multiply(d1: TreePair, d2: TreePair) -> TreePair:
-    """Reduced product d1 * d2 via common expansion: grow d1 until its plus
-    tree equals the common refinement, grow d2 until its minus tree does."""
-    target = refine(d1.plus, d2.minus)
-    while d1.plus != target:
-        d1 = expansion(d1, _expansion_targets(d1.plus, target)[0])
-    while d2.minus != target:
-        d2 = expansion(d2, _expansion_targets(d2.minus, target)[0])
+    """Reduced product d1 * d2 via common expansion: graft onto each leaf of
+    plus(d1) the part of minus(d2) below it, and vice versa, so that both
+    become the common refinement; then glue and reduce.  Sites are grafted
+    right to left, so the leaf indices of the earlier ones stay valid."""
+    grow1, grow2 = _growth(d1.plus, d2.minus), _growth(d2.minus, d1.plus)
+    for leaf, subtree in reversed(grow1):
+        d1 = expansion(d1, leaf, subtree)
+    for leaf, subtree in reversed(grow2):
+        d2 = expansion(d2, leaf, subtree)
     return reduce(TreePair(d1.minus, d2.plus))
 
 
@@ -274,11 +299,16 @@ def inverse(d: TreePair) -> TreePair:
 
 
 def power(d: TreePair, k: int) -> TreePair:
+    """d**k by repeated squaring."""
     if k < 0:
         return power(inverse(d), -k)
     out = IDENTITY
-    for _ in range(k):
-        out = multiply(out, d)
+    while k:
+        if k & 1:
+            out = multiply(out, d)
+        k >>= 1
+        if k:
+            d = multiply(d, d)
     return out
 
 

@@ -26,6 +26,7 @@ from rinfinity.treepairs import (
 )
 
 R = ExactNumber.rational
+LETTERS = (X0, X1, inverse(X0), inverse(X1))
 
 
 def random_tree(rng, n_leaves):
@@ -171,3 +172,170 @@ def test_vine_and_depths():
     assert leaf_count(v) == 4
     assert tp.left_depth(v) == 1
     assert tp.right_depth(v) == 3
+
+
+# The product as first written: expand one caret at a time, recomputing
+# the common refinement's targets at every step, then collapse one caret
+# pair at a time.  Kept as the reference for the grafting product.
+
+
+def ref_add_caret(t, leaf):
+    def go(node, offset):
+        if node.is_leaf:
+            return caret(LEAF, LEAF)
+        nl = leaf_count(node.left)
+        if leaf - offset <= nl:
+            return caret(go(node.left, offset), node.right)
+        return caret(node.left, go(node.right, offset + nl))
+
+    return go(t, 0)
+
+
+def ref_collapse_caret(t, leaf):
+    def go(node, offset):
+        nl = leaf_count(node.left)
+        if node.left.is_leaf and node.right.is_leaf:
+            return LEAF
+        if leaf - offset <= nl - (0 if node.left.is_leaf else 1):
+            return caret(go(node.left, offset), node.right)
+        return caret(node.left, go(node.right, offset + nl))
+
+    return go(t, 0)
+
+
+def ref_sibling_pairs(t):
+    out = []
+
+    def go(node, offset):
+        if node.is_leaf:
+            return 1
+        if node.left.is_leaf and node.right.is_leaf:
+            out.append(offset + 1)
+            return 2
+        nl = go(node.left, offset)
+        return nl + go(node.right, offset + nl)
+
+    go(t, 0)
+    return out
+
+
+def ref_refine(t1, t2):
+    if t1.is_leaf:
+        return t2
+    if t2.is_leaf:
+        return t1
+    return caret(ref_refine(t1.left, t2.left), ref_refine(t1.right, t2.right))
+
+
+def ref_targets(current, goal):
+    out = []
+
+    def go(cur, gl, offset):
+        if cur.is_leaf:
+            if not gl.is_leaf:
+                out.append(offset + 1)
+            return 1
+        nl = go(cur.left, gl.left, offset)
+        return nl + go(cur.right, gl.right, offset + nl)
+
+    go(current, goal, 0)
+    return out
+
+
+def ref_expansion(d, leaf):
+    return TreePair(ref_add_caret(d.minus, leaf), ref_add_caret(d.plus, leaf))
+
+
+def ref_reduce(d):
+    minus, plus = d.minus, d.plus
+    while True:
+        common = sorted(set(ref_sibling_pairs(minus)) & set(ref_sibling_pairs(plus)))
+        if not common:
+            return TreePair(minus, plus)
+        minus, plus = ref_collapse_caret(minus, common[0]), ref_collapse_caret(plus, common[0])
+
+
+def ref_multiply(d1, d2):
+    target = ref_refine(d1.plus, d2.minus)
+    while d1.plus != target:
+        d1 = ref_expansion(d1, ref_targets(d1.plus, target)[0])
+    while d2.minus != target:
+        d2 = ref_expansion(d2, ref_targets(d2.minus, target)[0])
+    return ref_reduce(TreePair(d1.minus, d2.plus))
+
+
+def simple_expansion_steps(leaf, subtree):
+    """Leaf indices of the one-caret expansions that build `subtree` at
+    `leaf`, each caret before its children, right child first."""
+    steps, stack = [], [(leaf, subtree)]
+    while stack:
+        i, s = stack.pop()
+        if not s.is_leaf:
+            steps.append(i)
+            stack += [(i, s.left), (i + 1, s.right)]
+    return steps
+
+
+def fold(elements, mul=multiply):
+    out = IDENTITY
+    for e in elements:
+        out = mul(out, e)
+    return out
+
+
+def test_multiply_matches_caretwise_product():
+    rng = random.Random(31)
+    for _ in range(500):
+        d1, d2 = random_pair(rng, 20), random_pair(rng, 20)
+        assert multiply(d1, d2) == ref_multiply(d1, d2)
+
+
+def test_multiply_matches_caretwise_product_on_words():
+    rng = random.Random(37)
+    for _ in range(20):
+        word = [rng.choice(LETTERS) for _ in range(60)]
+        assert fold(word) == fold(word, ref_multiply)
+
+
+def test_subtree_expansion_is_composite_of_simple_expansions():
+    rng = random.Random(41)
+    for _ in range(300):
+        d = random_pair(rng)
+        leaf = rng.randint(1, d.n_leaves)
+        subtree = random_tree(rng, rng.randint(1, 7))
+        e = d
+        for i in simple_expansion_steps(leaf, subtree):
+            e = expansion(e, i)
+        assert expansion(d, leaf, subtree) == e
+
+
+def test_batched_reduce_matches_one_pair_at_a_time():
+    rng = random.Random(43)
+    for _ in range(300):
+        d = random_pair(rng, 12)
+        e = d
+        for _ in range(rng.randint(1, 4)):
+            e = expansion(e, rng.randint(1, e.n_leaves), random_tree(rng, rng.randint(2, 6)))
+        assert reduce(e) == reduce(e, order=lambda c: c[0]) == ref_reduce(e) == d
+
+
+def test_caret_helpers_reject_bad_positions():
+    t = parse_tree("((..).)")
+    for leaf in (0, 4):
+        with pytest.raises(ValueError):
+            tp.add_caret(t, leaf)
+    for leaf in (2, 3):
+        with pytest.raises(ValueError):
+            tp.collapse_caret(t, leaf)
+    assert tp.collapse_caret(t, 1) == parse_tree("(..)")
+
+
+def test_power_by_squaring_matches_fold():
+    d = power(X0, 200)
+    assert d == fold([X0] * 200)
+    assert f_characters(d) == (-200, 200)
+    rng = random.Random(47)
+    for _ in range(30):
+        d = random_pair(rng)
+        for k in (0, 1, 2, 5, 17, -9):
+            assert power(d, k) == fold([d if k > 0 else inverse(d)] * abs(k))
