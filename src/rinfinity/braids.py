@@ -50,13 +50,7 @@ class BraidWord:
         return BraidWord(self.n, tuple(-l for l in reversed(self.letters)))
 
     def free_reduce(self) -> BraidWord:
-        out: list[int] = []
-        for l in self.letters:
-            if out and out[-1] == -l:
-                out.pop()
-            else:
-                out.append(l)
-        return BraidWord(self.n, tuple(out))
+        return BraidWord(self.n, tuple(_free_reduce(self.letters)))
 
     def permutation(self) -> tuple[int, ...]:
         """perm[s-1] is the end position of the strand starting at s."""
@@ -105,6 +99,17 @@ class BraidWord:
         return format_braid(self)
 
 
+def _free_reduce(letters) -> list[int]:
+    """Cancel adjacent inverse letters until none remain."""
+    out: list[int] = []
+    for l in letters:
+        if out and out[-1] == -l:
+            out.pop()
+        else:
+            out.append(l)
+    return out
+
+
 def _find_handle(letters: list[int]) -> tuple[int, int] | None:
     """Leftmost-ending handle (p, q): letters[p] = -letters[q] = sigma_i^e
     with no index i or i-1 strictly between."""
@@ -119,12 +124,11 @@ def _find_handle(letters: list[int]) -> tuple[int, int] | None:
     return None
 
 
-def handle_reduce(word: BraidWord, cap: int | None = None) -> BraidWord:
+def handle_reduce(word: BraidWord) -> BraidWord:
     """Fully handle-reduce the word; the result is empty iff the braid is
     trivial."""
-    letters = list(word.free_reduce().letters)
-    if cap is None:
-        cap = 4000 + 400 * len(letters) * len(letters)
+    letters = _free_reduce(word.letters)
+    cap = 4000 + 400 * len(letters) * len(letters)
     steps = 0
     while True:
         found = _find_handle(letters)
@@ -145,13 +149,7 @@ def handle_reduce(word: BraidWord, cap: int | None = None) -> BraidWord:
                 replacement.append(l)
         letters[p : q + 1] = replacement
         # interleave free reduction to keep words short
-        reduced: list[int] = []
-        for l in letters:
-            if reduced and reduced[-1] == -l:
-                reduced.pop()
-            else:
-                reduced.append(l)
-        letters = reduced
+        letters = _free_reduce(letters)
 
 
 def braid_equal(b1: BraidWord, b2: BraidWord) -> bool:
@@ -172,46 +170,6 @@ def braid_equal(b1: BraidWord, b2: BraidWord) -> bool:
 
 def is_trivial(b: BraidWord) -> bool:
     return braid_equal(b, BraidWord.identity(b.n))
-
-
-def artin_action(b: BraidWord) -> tuple[tuple[int, ...], ...]:
-    """Image of the free-group basis under the Artin representation,
-    sigma_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i.  Faithful for all
-    n, so it is an independent (if slower) equality oracle."""
-
-    def reduce_word(w: list[int]) -> list[int]:
-        out: list[int] = []
-        for g in w:
-            if out and out[-1] == -g:
-                out.pop()
-            else:
-                out.append(g)
-        return out
-
-    images: list[list[int]] = [[g] for g in range(1, b.n + 1)]
-    for l in reversed(b.letters):
-        i = abs(l)
-        new_i: list[int]
-        new_i1: list[int]
-        if l > 0:
-            new_i, new_i1 = [i, i + 1, -i], [i]
-        else:
-            new_i, new_i1 = [i + 1], [-(i + 1), i, i + 1]
-        table = {i: new_i, i + 1: new_i1}
-        updated = []
-        for img in images:
-            word: list[int] = []
-            for g in img:
-                base = table.get(abs(g))
-                if base is None:
-                    word.append(g)
-                elif g > 0:
-                    word.extend(base)
-                else:
-                    word.extend(-x for x in reversed(base))
-            updated.append(reduce_word(word))
-        images = updated
-    return tuple(tuple(img) for img in images)
 
 
 def _block_cross(base: int, u: int, v: int, sign: int) -> list[int]:

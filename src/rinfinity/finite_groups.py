@@ -110,21 +110,20 @@ class FiniteGroup:
         return tuple(parent[e] for e in range(self.order))
 
 
-def _table_from(elements: list, mul) -> tuple[tuple[int, ...], dict]:
+def _table_from(elements: list, mul) -> tuple[int, ...]:
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     table = [0] * (n * n)
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             table[i * n + j] = index[mul(a, b)]
-    return tuple(table), index
+    return tuple(table)
 
 
 def from_elements(name: str, identity, elements: list, mul) -> FiniteGroup:
     """Build a table group from abstract elements; identity is moved to 0."""
     ordered = [identity] + [e for e in elements if e != identity]
-    table, _ = _table_from(ordered, mul)
-    return FiniteGroup(name, table)
+    return FiniteGroup(name, _table_from(ordered, mul))
 
 
 def generate_closure(identity, generators: list, mul) -> list:
@@ -444,7 +443,8 @@ def is_normal(g: FiniteGroup, h: frozenset[int]) -> bool:
 
 
 def quotient_group(g: FiniteGroup, h: frozenset[int]) -> tuple[FiniteGroup, list[int]]:
-    """(G/H, coset index of each element); H must be normal."""
+    """(G/H, coset index of each element); H must be normal.  The
+    identity coset is coset 0, since the identity 0 is visited first."""
     n = g.order
     coset_of = [-1] * n
     reps: list[int] = []
@@ -455,15 +455,6 @@ def quotient_group(g: FiniteGroup, h: frozenset[int]) -> tuple[FiniteGroup, list
         reps.append(a)
         for x in h:
             coset_of[g.mul(a, x)] = idx
-    # identity coset first
-    if coset_of[0] != 0:
-        other = coset_of[0]
-        for a in range(n):
-            if coset_of[a] == 0:
-                coset_of[a] = other
-            elif coset_of[a] == other:
-                coset_of[a] = 0
-        reps[0], reps[other] = reps[other], reps[0]
     m = len(reps)
     table = [0] * (m * m)
     for i, a in enumerate(reps):

@@ -2,13 +2,18 @@
 systems, lattice quotients, and finitely generated abelian groups with
 automorphisms.
 
+Every lattice question reads one Smith decomposition U*M*V = S:
+solutions, kernels, inverses, invariant factors, membership and
+canonical forms.  An abelian group Z^n/R computes the decomposition of
+its relators once and keeps it.
+
 Everything uses Python big integers; matrices are immutable row tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import inf
 
 
@@ -27,10 +32,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> IntMatrix:
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(n: int, m: int) -> IntMatrix:
-        return IntMatrix(tuple((0,) * m for _ in range(n)))
 
     @staticmethod
     def from_columns(cols) -> IntMatrix:
@@ -64,29 +65,16 @@ class IntMatrix:
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.rows)
         )
 
-    def __add__(self, other: IntMatrix) -> IntMatrix:
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
-
     def __sub__(self, other: IntMatrix) -> IntMatrix:
         return IntMatrix(
             tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
         )
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
 
     def apply(self, vector) -> tuple[int, ...]:
         v = tuple(vector)
         if self.ncols != len(v):
             raise ValueError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
-
-    def hstack(self, other: IntMatrix) -> IntMatrix:
-        if self.nrows != other.nrows:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -134,8 +122,19 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d != 0)
+    def solve(self, b) -> tuple[int, ...] | None:
+        """One integer solution x of M x = b, or None if none exists."""
+        c = self.u.apply(tuple(b))
+        d = self.diagonal
+        y = [0] * self.v.nrows
+        for i, ci in enumerate(c):
+            if i < len(d) and d[i] != 0:
+                if ci % d[i] != 0:
+                    return None
+                y[i] = ci // d[i]
+            elif ci != 0:
+                return None
+        return self.v.apply(y)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -219,46 +218,21 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1, exactly."""
-    n = m.nrows
-    if n != m.ncols:
+    """Inverse of an integer matrix with determinant +-1, exactly: V*U
+    for U*M*V = I."""
+    if m.nrows != m.ncols:
         raise ValueError("not square")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m.rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for row in a:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in vals))
-    return IntMatrix(tuple(out))
+    snf = smith_normal_form(m)
+    if snf.rank < m.nrows:
+        raise ValueError("matrix is singular")
+    if any(d != 1 for d in snf.diagonal):
+        raise ValueError("matrix is not unimodular")
+    return snf.v * snf.u
 
 
 def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
     """One integer solution x of M x = b, or None if none exists."""
-    snf = smith_normal_form(m)
-    c = snf.u.apply(tuple(b))
-    d = snf.diagonal
-    y = [0] * m.ncols
-    for i, ci in enumerate(c):
-        if i < len(d) and d[i] != 0:
-            if ci % d[i] != 0:
-                return None
-            y[i] = ci // d[i]
-        elif ci != 0:
-            return None
-    return snf.v.apply(y)
+    return smith_normal_form(m).solve(b)
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -266,15 +240,6 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     snf = smith_normal_form(m)
     r = snf.rank
     return [snf.v.column(j) for j in range(r, m.ncols)]
-
-
-def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
-    from math import gcd
-
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return vec if g in (0, 1) else tuple(x // g for x in vec)
 
 
 @dataclass(frozen=True)
@@ -327,11 +292,7 @@ def lattice_quotient(gens: list[tuple[int, ...]], rels: list[tuple[int, ...]], n
         if any(c[i] % d[i] != 0 for i in range(r)):
             raise ValueError("relation lies outside the generated lattice")
         coords.append(tuple(c[i] // d[i] for i in range(r)))
-    if not coords:
-        return GroupStructure((), r)
-    csnf = smith_normal_form(IntMatrix.from_columns(coords))
-    torsion = tuple(x for x in csnf.invariant_factors() if x > 1)
-    return GroupStructure(torsion, r - csnf.rank)
+    return FGAbelianGroup.from_relator_columns(r, coords).structure()
 
 
 @dataclass(frozen=True)
@@ -342,7 +303,7 @@ class FGAbelianGroup:
     relators: IntMatrix  # n x k, columns are relators
 
     def __post_init__(self) -> None:
-        if self.relators.rows and self.relators.nrows != self.n:
+        if self.relators.nrows != self.n:
             raise ValueError("relator matrix has wrong height")
 
     @staticmethod
@@ -356,31 +317,25 @@ class FGAbelianGroup:
             return FGAbelianGroup.free(n)
         return FGAbelianGroup(n, IntMatrix.from_columns(cols))
 
+    @cached_property
+    def decomposition(self) -> SmithDecomposition:
+        """Smith decomposition of the relator matrix."""
+        return smith_normal_form(self.relators)
+
     def structure(self) -> GroupStructure:
-        basis = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
-        return lattice_quotient(basis, self.relators.columns(), self.n)
+        snf = self.decomposition
+        return GroupStructure(tuple(d for d in snf.diagonal if d > 1), self.n - snf.rank)
 
     def contains_in_relator_span(self, vec: tuple[int, ...]) -> bool:
-        if not self.relators.columns():
-            return all(x == 0 for x in vec)
-        return solve_integer(self.relators, vec) is not None
+        return self.decomposition.solve(vec) is not None
 
     def element_key(self, vec) -> tuple:
         """Canonical form of an element: coordinates in the Smith basis,
         reduced modulo the invariant factors."""
-        snf = smith_normal_form(self.relators) if self.relators.columns() else None
-        v = tuple(vec)
-        if snf is None:
-            return v
-        c = snf.u.apply(v)
+        snf = self.decomposition
+        c = snf.u.apply(tuple(vec))
         d = snf.diagonal
-        out = []
-        for i, ci in enumerate(c):
-            if i < len(d) and d[i] != 0:
-                out.append(ci % d[i])
-            else:
-                out.append(ci)
-        return tuple(out)
+        return tuple(ci % d[i] if i < len(d) and d[i] != 0 else ci for i, ci in enumerate(c))
 
 
 @dataclass(frozen=True)
@@ -405,17 +360,17 @@ class AbelianAuto:
         # Surjective iff im(M) + span(relators) = Z^n; f.g. abelian groups
         # are Hopfian, so surjective implies bijective.
         cols = self.matrix.columns() + self.group.relators.columns()
-        return lattice_quotient(
-            [tuple(int(i == j) for j in range(self.group.n)) for i in range(self.group.n)],
-            cols,
-            self.group.n,
-        ).is_trivial
+        return FGAbelianGroup.from_relator_columns(self.group.n, cols).structure().is_trivial
 
 
 @dataclass(frozen=True)
 class FixedSubgroup:
+    """Fix(phi) on Z^n / relators: its structure, and generators given as
+    fixed representatives in Z^n (M g - g lies in the relator span), each
+    nonzero in the quotient."""
+
     structure: GroupStructure
-    generators: tuple[tuple[int, ...], ...]  # ambient representatives
+    generators: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int | float:
@@ -427,11 +382,13 @@ def fix_subgroup(auto: AbelianAuto) -> FixedSubgroup:
     n = auto.group.n
     mi = auto.matrix - IntMatrix.identity(n)
     rel_cols = auto.group.relators.columns()
-    stacked = mi.hstack(IntMatrix.from_columns(rel_cols)) if rel_cols else mi
-    gens = [k[:n] for k in kernel_basis(stacked)]
-    gens += rel_cols
+    # The projections of ker[M - I | R] span the fixed lattice, which
+    # contains span(R) because M stabilizes it.
+    gens = [k[:n] for k in kernel_basis(IntMatrix.from_columns(mi.columns() + rel_cols))]
     structure = lattice_quotient(gens, rel_cols, n)
-    return FixedSubgroup(structure, tuple(_primitive(g) for g in gens if any(g)))
+    return FixedSubgroup(
+        structure, tuple(g for g in gens if not auto.group.contains_in_relator_span(g))
+    )
 
 
 def reidemeister_number_abelian(auto: AbelianAuto) -> int | float:
@@ -441,5 +398,4 @@ def reidemeister_number_abelian(auto: AbelianAuto) -> int | float:
     n = auto.group.n
     mi = auto.matrix - IntMatrix.identity(n)
     cols = mi.columns() + auto.group.relators.columns()
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return lattice_quotient(basis, cols, n).order
+    return FGAbelianGroup.from_relator_columns(n, cols).structure().order

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 
@@ -333,23 +334,28 @@ class SlopeGroup:
     def rank(self) -> int:
         return len(self.generators)
 
-    def _factor_rational(self, x: ExactNumber) -> tuple[int, ...]:
+    @cached_property
+    def _exponent_lattice(self):
+        """The primes of the (rational) generators and the Smith
+        decomposition of their exponent matrix, one column per generator."""
+        from .intlinalg import IntMatrix, smith_normal_form
+
         primes: set[int] = set()
         for g in self.generators:
             primes |= set(_prime_factors(g.a.numerator))
             primes |= set(_prime_factors(g.a.denominator))
         plist = sorted(primes)
-        target = _rational_exponents(x.a, plist)
+        cols = [_rational_exponents(g.a, plist) for g in self.generators]
+        return plist, smith_normal_form(IntMatrix.from_columns(cols))
+
+    def _factor_rational(self, x: ExactNumber) -> tuple[int, ...]:
+        primes, snf = self._exponent_lattice
+        target = _rational_exponents(x.a, primes)
         if target is None:
             raise NonMember(f"{x} is not supported on the primes of {self}")
-        cols = [_rational_exponents(g.a, plist) for g in self.generators]
-        # Solve the integer linear system prime-row by prime-row via
-        # fraction-free Gaussian elimination; the solution, if any, is
-        # unique because the generators are independent.
-        from .intlinalg import IntMatrix, solve_integer
-
-        mat = IntMatrix(tuple(tuple(col[i] for col in cols) for i in range(len(plist))))  # type: ignore[index]
-        sol = solve_integer(mat, tuple(target))
+        # The solution, if any, is unique because the generators are
+        # independent.
+        sol = snf.solve(target)
         if sol is None:
             raise NonMember(f"{x} is not in {self}")
         return sol

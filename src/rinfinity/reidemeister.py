@@ -20,6 +20,7 @@ from .intlinalg import (
     FixedSubgroup,
     IntMatrix,
     fix_subgroup,
+    inverse_unimodular,
     kernel_basis,
     reidemeister_number_abelian,
     smith_normal_form,
@@ -124,8 +125,6 @@ def swap_matrix(chars: CharacterData) -> IntMatrix:
     C^-1 P C for the 2x2 character matrix C and the transposition P."""
     if len(chars.vectors) != 2 or any(len(v) != 2 for v in chars.vectors):
         raise ValueError("need exactly two characters on two generators")
-    from .intlinalg import inverse_unimodular
-
     c = IntMatrix.of(chars.vectors)
     p = IntMatrix.of([[0, 1], [1, 0]])
     # characters act as rows; M must satisfy c * M = p * c as functionals

@@ -261,18 +261,15 @@ X0 = TreePair(parse_tree("((..).)"), parse_tree("(.(..))"))
 X1 = TreePair(parse_tree("(.((..).))"), parse_tree("(.(.(..)))"))
 
 
-def reduce(d: TreePair, order=None) -> TreePair:
+def reduce(d: TreePair) -> TreePair:
     """Remove caret pairs (leaves i, i+1 forming a caret in both trees)
-    until none remain.  Each pass collapses every common pair at once;
-    `order` instead picks one of them per pass, for confluence testing."""
+    until none remain.  Each pass collapses every common pair at once."""
     minus, plus = d.minus, d.plus
     while True:
-        in_plus = set(sibling_leaf_pairs(plus))
-        common = [i for i in sibling_leaf_pairs(minus) if i in in_plus]
+        common = set(sibling_leaf_pairs(minus)) & set(sibling_leaf_pairs(plus))
         if not common:
             return d if minus is d.minus else TreePair(minus, plus)
-        picked = set(common) if order is None else {order(common)}
-        minus, plus = _collapse(minus, picked), _collapse(plus, picked)
+        minus, plus = _collapse(minus, common), _collapse(plus, common)
 
 
 def expansion(d: TreePair, leaf: int, subtree: Tree = CARET) -> TreePair:

@@ -5,7 +5,6 @@ import pytest
 
 from rinfinity.braids import (
     BraidWord,
-    artin_action,
     braid_equal,
     cable,
     delete_strand,
@@ -22,6 +21,45 @@ def random_word(rng, n, length):
         i = rng.randint(1, n - 1)
         letters.append(i if rng.random() < 0.5 else -i)
     return BraidWord(n, tuple(letters))
+
+
+def artin_action(b):
+    """Image of the free-group basis under the Artin representation,
+    sigma_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i.  Faithful for all
+    n, so it is an independent (if slower) equality oracle; it reduces
+    free words on its own, without the library's helpers."""
+
+    def reduce_word(w):
+        out = []
+        for g in w:
+            if out and out[-1] == -g:
+                out.pop()
+            else:
+                out.append(g)
+        return out
+
+    images = [[g] for g in range(1, b.n + 1)]
+    for l in reversed(b.letters):
+        i = abs(l)
+        if l > 0:
+            new_i, new_i1 = [i, i + 1, -i], [i]
+        else:
+            new_i, new_i1 = [i + 1], [-(i + 1), i, i + 1]
+        table = {i: new_i, i + 1: new_i1}
+        updated = []
+        for img in images:
+            word = []
+            for g in img:
+                base = table.get(abs(g))
+                if base is None:
+                    word.append(g)
+                elif g > 0:
+                    word.extend(base)
+                else:
+                    word.extend(-x for x in reversed(base))
+            updated.append(reduce_word(word))
+        images = updated
+    return tuple(tuple(img) for img in images)
 
 
 def test_invariants_of_empty_word():

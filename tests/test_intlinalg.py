@@ -67,6 +67,40 @@ def test_inverse_unimodular():
         assert u * inverse_unimodular(u) == IntMatrix.identity(n)
 
 
+def test_snf_diagonal_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(23)
+    for trial in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 3 == 0:
+            # rank r < min(n, m): a product through a thinner matrix
+            r = rng.randint(0, min(n, m) - 1)
+            mat = (
+                random_matrix(rng, n, r, -4, 4) * random_matrix(rng, r, m, -4, 4)
+                if r
+                else IntMatrix(((0,) * m,) * n)
+            )
+        else:
+            mat = random_matrix(rng, n, m)
+        snf = smith_normal_form(mat)
+        theirs = [abs(int(d)) for d in invariant_factors(sympy.Matrix(mat.rows)) if d != 0]
+        assert [d for d in snf.diagonal if d != 0] == theirs
+        assert snf.rank == sympy.Matrix(mat.rows).rank()
+
+
+def test_inverse_unimodular_rejects():
+    with pytest.raises(ValueError, match="not square"):
+        inverse_unimodular(IntMatrix.of([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(ValueError, match="singular"):
+        inverse_unimodular(IntMatrix.of([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse_unimodular(IntMatrix.of([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse_unimodular(IntMatrix.of([[1, 1], [-1, 1]]))
+
+
 def test_solve_and_kernel():
     rng = random.Random(17)
     for _ in range(300):
@@ -109,6 +143,59 @@ def test_fix_on_torsion_group():
     assert fixed.order == 2
     keys = {grp.element_key(g) for g in fixed.generators}
     assert keys == {grp.element_key((1, 0, 0))}
+
+
+def random_abelian_auto(rng):
+    """A random automorphism of Z/d1 + ... + Z/dt + Z^f with t + f <= 3,
+    torsion coordinates first.  Free rows vanish on torsion columns, as
+    they must for the matrix to stabilize the relators."""
+    while True:
+        f = rng.randint(0, 2)
+        torsion = [rng.choice((2, 3, 4, 6, 8, 9)) for _ in range(rng.randint(0, 3 - f))]
+        t, n = len(torsion), f + len(torsion)
+        if n == 0:
+            continue
+        rels = [tuple(d if i == j else 0 for i in range(n)) for j, d in enumerate(torsion)]
+        free_block = random_unimodular(rng, f, steps=rng.randint(0, 6)).rows if f else ()
+        rows = []
+        for i in range(n):
+            if i < t:
+                rows.append([rng.randint(-4, 4) for _ in range(n)])
+            else:
+                rows.append([0] * t + list(free_block[i - t]))
+        try:
+            return AbelianAuto(FGAbelianGroup.from_relator_columns(n, rels), IntMatrix.of(rows))
+        except ValueError:
+            continue
+
+
+def test_fix_generators_are_fixed_and_nonzero():
+    # -1 on Z/4 fixes {0, 2}; the generator 1 would not be fixed.
+    z4 = FGAbelianGroup.from_relator_columns(1, [(4,)])
+    fixed = fix_subgroup(AbelianAuto(z4, IntMatrix.of([[-1]])))
+    assert fixed.order == 2
+    assert {z4.element_key(g) for g in fixed.generators} == {z4.element_key((2,))}
+    rng = random.Random(29)
+    for _ in range(300):
+        auto = random_abelian_auto(rng)
+        grp, m = auto.group, auto.matrix
+        fixed = fix_subgroup(auto)
+        for g in fixed.generators:
+            moved = tuple(a - b for a, b in zip(m.apply(g), g))
+            assert grp.contains_in_relator_span(moved)
+            assert not grp.contains_in_relator_span(g)
+        # and they generate the whole fixed subgroup
+        rels = grp.relators.columns()
+        assert lattice_quotient(list(fixed.generators) + rels, rels, grp.n) == fixed.structure
+
+
+def test_group_rejects_relators_of_wrong_height():
+    # The decomposition acts on Z^n, so the relator matrix must have n
+    # rows even when it has no columns.
+    assert FGAbelianGroup.free(3).structure().free_rank == 3
+    for relators in (IntMatrix(()), IntMatrix.of([[2], [0]])):
+        with pytest.raises(ValueError):
+            FGAbelianGroup(3, relators)
 
 
 def test_auto_validation():

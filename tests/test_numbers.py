@@ -150,6 +150,28 @@ def test_slope_factor_roundtrip():
             assert grp.expand(grp.factor(x)) == x
 
 
+def test_slope_factor_on_one_group():
+    # One group answers many queries from the decomposition it keeps.
+    rng = random.Random(6)
+    p23 = SlopeGroup.of(2, 3)
+    five = ExactNumber.rational(5)
+    for _ in range(200):
+        exps = (rng.randint(-20, 20), rng.randint(-20, 20))
+        x = p23.expand(exps)
+        assert p23.factor(x) == exps
+        with pytest.raises(NonMember):
+            p23.factor(x * five)
+    with pytest.raises(NonMember):
+        p23.factor(five)
+    # <4, 6> has rank 2 on the primes 2, 3 but index 2 in their lattice.
+    p46 = SlopeGroup.of(4, 6)
+    assert p46.factor(ExactNumber.rational(24)) == (1, 1)
+    assert p46.factor(ExactNumber.rational(3, 2)) == (-1, 1)
+    for q in (2, 3, 12):
+        with pytest.raises(NonMember):
+            p46.factor(ExactNumber.rational(q))
+
+
 def test_literal_roundtrip():
     rng = random.Random(5)
     for _ in range(500):

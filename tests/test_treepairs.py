@@ -77,8 +77,8 @@ def test_reduce_confluent_random_order():
         for _ in range(rng.randint(1, 5)):
             e = expansion(e, rng.randint(1, e.n_leaves))
         a = reduce(e)
-        b = reduce(e, order=lambda options: options[rng.randrange(len(options))])
-        c = reduce(e, order=lambda options: options[-1])
+        b = ref_reduce(e, order=lambda options: options[rng.randrange(len(options))])
+        c = ref_reduce(e, order=lambda options: options[-1])
         assert a == b == c
 
 
@@ -246,13 +246,15 @@ def ref_expansion(d, leaf):
     return TreePair(ref_add_caret(d.minus, leaf), ref_add_caret(d.plus, leaf))
 
 
-def ref_reduce(d):
+def ref_reduce(d, order=lambda common: common[0]):
+    """Collapse one common caret pair per pass, the one `order` picks."""
     minus, plus = d.minus, d.plus
     while True:
         common = sorted(set(ref_sibling_pairs(minus)) & set(ref_sibling_pairs(plus)))
         if not common:
             return TreePair(minus, plus)
-        minus, plus = ref_collapse_caret(minus, common[0]), ref_collapse_caret(plus, common[0])
+        i = order(common)
+        minus, plus = ref_collapse_caret(minus, i), ref_collapse_caret(plus, i)
 
 
 def ref_multiply(d1, d2):
@@ -316,7 +318,7 @@ def test_batched_reduce_matches_one_pair_at_a_time():
         e = d
         for _ in range(rng.randint(1, 4)):
             e = expansion(e, rng.randint(1, e.n_leaves), random_tree(rng, rng.randint(2, 6)))
-        assert reduce(e) == reduce(e, order=lambda c: c[0]) == ref_reduce(e) == d
+        assert reduce(e) == ref_reduce(e, order=lambda c: c[-1]) == ref_reduce(e) == d
 
 
 def test_caret_helpers_reject_bad_positions():
