@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, braid_equal, cable, delete_strand
+from .braids import BraidWord, braid_equal, cable, delete_strand, format_braid, parse_braid
 from .numbers import ParseError
 from .treepairs import (
     LEAF,
@@ -29,7 +29,6 @@ from .treepairs import (
     right_vine,
     sibling_leaf_pairs,
 )
-from .braids import format_braid, parse_braid
 
 
 @dataclass(frozen=True)

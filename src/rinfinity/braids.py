@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .numbers import ParseError
+
 
 class HandleReductionCap(RuntimeError):
     """The handle-reduction iteration cap was hit; result unknown."""
@@ -48,9 +50,6 @@ class BraidWord:
 
     def inverse(self) -> BraidWord:
         return BraidWord(self.n, tuple(-l for l in reversed(self.letters)))
-
-    def free_reduce(self) -> BraidWord:
-        return BraidWord(self.n, tuple(_free_reduce(self.letters)))
 
     def permutation(self) -> tuple[int, ...]:
         """perm[s-1] is the end position of the strand starting at s."""
@@ -225,8 +224,6 @@ def format_braid(b: BraidWord) -> str:
 
 def parse_braid(text: str, n: int) -> BraidWord:
     """Parse words like `s1 s2' s1`; `e` is the empty word."""
-    from .numbers import ParseError
-
     letters: list[int] = []
     stripped = text.strip()
     if stripped in ("", "e"):

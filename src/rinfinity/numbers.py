@@ -68,10 +68,6 @@ class ExactNumber:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
-
     def __add__(self, other) -> ExactNumber:
         o = ExactNumber.of(other)
         return ExactNumber(self.a + o.a, self.b + o.b)

@@ -5,12 +5,15 @@ with prescribed singularity set A and slope group P.
 A map is stored as (ell, breakpoints, slopes) anchored at f(0) = 0, which
 makes continuity automatic; f(ell) = ell is a constructor check.  The
 canonical form has no breakpoint where the slope does not change, so maps
-are equal iff their fields are.
+are equal iff their fields are.  The knots (x, f(x)) at 0, each breakpoint
+and ell are computed once per map; composition, inversion, support and
+membership walk them from left to right and evaluate nothing.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,8 +42,8 @@ class PLMap:
         if len(self.slopes) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one slope per segment")
         prev = ZERO
-        for b in self.breakpoints:
-            if not (prev < b < self.ell):
+        for b in self.breakpoints + (self.ell,):
+            if not prev < b:
                 raise ValueError("breakpoints must be strictly increasing inside (0, ell)")
             prev = b
         for s in self.slopes:
@@ -50,16 +53,8 @@ class PLMap:
         for i in range(len(self.breakpoints)):
             if self.slopes[i] == self.slopes[i + 1]:
                 raise ValueError("spurious breakpoint (equal adjacent slopes); use PLMap.make")
-        if self._value_at_end() != self.ell:
+        if self._knots[-1][1] != self.ell:
             raise ValueError("map does not fix the right endpoint")
-
-    def _value_at_end(self) -> ExactNumber:
-        value = ZERO
-        prev = ZERO
-        for b, s in zip(self.breakpoints, self.slopes):
-            value = value + s * (b - prev)
-            prev = b
-        return value + self.slopes[-1] * (self.ell - prev)
 
     @staticmethod
     def make(ell, breakpoints, slopes) -> PLMap:
@@ -67,6 +62,8 @@ class PLMap:
         ell = ExactNumber.of(ell)
         bs = [ExactNumber.of(b) for b in breakpoints]
         ss = [ExactNumber.of(s) for s in slopes]
+        if len(ss) != len(bs) + 1:
+            raise ValueError("need exactly one slope per segment")
         pruned_b: list[ExactNumber] = []
         pruned_s: list[ExactNumber] = [ss[0]]
         for b, s in zip(bs, ss[1:]):
@@ -88,27 +85,18 @@ class PLMap:
     def _knots(self) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
         """(x, f(x)) at 0, each breakpoint, and ell."""
         out = [(ZERO, ZERO)]
-        for b, s in zip(self.breakpoints, self.slopes):
+        for b, s in zip(self.breakpoints + (self.ell,), self.slopes):
             x0, y0 = out[-1]
             out.append((b, y0 + s * (b - x0)))
-        x0, y0 = out[-1]
-        out.append((self.ell, y0 + self.slopes[-1] * (self.ell - x0)))
         return tuple(out)
 
     def _segment_index(self, x: ExactNumber) -> int:
-        lo, hi = 0, len(self.breakpoints)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.breakpoints[mid] <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        if x < ZERO or x > self.ell:
+            raise ValueError(f"{x} is outside [0, {self.ell}]")
+        return bisect_right(self.breakpoints, x)
 
     def __call__(self, x) -> ExactNumber:
         x = ExactNumber.of(x)
-        if x < ZERO or x > self.ell:
-            raise ValueError(f"{x} is outside [0, {self.ell}]")
         i = self._segment_index(x)
         x0, y0 = self._knots[i]
         return y0 + self.slopes[i] * (x - x0)
@@ -116,8 +104,6 @@ class PLMap:
     def slope_at(self, x: ExactNumber) -> ExactNumber:
         """Slope on the segment whose interior contains x (right slope at a
         breakpoint, left slope at ell)."""
-        if x == self.ell:
-            return self.slopes[-1]
         return self.slopes[self._segment_index(x)]
 
     @property
@@ -129,7 +115,7 @@ class PLMap:
         return self.slopes[-1]
 
     def inverse(self) -> PLMap:
-        breaks = tuple(self._knots[i + 1][1] for i in range(len(self.breakpoints)))
+        breaks = tuple(y for _, y in self._knots[1:-1])
         slopes = tuple(s.inverse() for s in self.slopes)
         return PLMap(self.ell, breaks, slopes)
 
@@ -141,48 +127,53 @@ class PLMap:
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """The map x -> f(g(x)).  Breakpoints are those of g together with the
-    g-preimages of those of f, pruned back to canonical form."""
+    """The map x -> f(g(x)), in one walk over the segments of g.
+
+    On the segment from (x0, y0) to (x1, y1) with slope s, every breakpoint
+    b of f with y0 < b < y1 pulls back to the breakpoint x0 + (b - y0)/s,
+    and the slope there is s times the slope of f just below b.  f's right
+    endpoint closes its breakpoint list, so the walk never runs off it.
+    """
     if f.ell != g.ell:
         raise ValueError("maps act on different intervals")
-    g_inv = g.inverse()
-    candidates = set(g.breakpoints) | {g_inv(b) for b in f.breakpoints}
-    breaks = sorted(candidates)
-    slopes = []
-    prev = ZERO
-    half = ExactNumber.rational(1, 2)
-    for b in list(breaks) + [f.ell]:
-        mid = (prev + b) * half
-        slopes.append(g.slope_at(mid) * f.slope_at(g(mid)))
-        prev = b
-    return PLMap.make(f.ell, breaks, slopes)
+    f_breaks = f.breakpoints + (f.ell,)
+    j = 0
+    breaks: list[ExactNumber] = []
+    slopes: list[ExactNumber] = []
+    for (x0, y0), (x1, y1), s in zip(g._knots, g._knots[1:], g.slopes):
+        while f_breaks[j] < y1:
+            breaks.append(x0 + (f_breaks[j] - y0) / s)
+            slopes.append(s * f.slopes[j])
+            j += 1
+        breaks.append(x1)
+        slopes.append(s * f.slopes[j])
+        if f_breaks[j] == y1:
+            j += 1
+    return PLMap.make(f.ell, breaks[:-1], slopes)
 
 
 def support(f: PLMap) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
-    """Maximal open intervals where f(x) != x."""
-    knots = f._knots
-    fixed_cuts: list[ExactNumber] = [ZERO]
-    identity_spans: list[tuple[ExactNumber, ExactNumber]] = []
-    for i, s in enumerate(f.slopes):
-        x0, y0 = knots[i]
-        x1, _ = knots[i + 1]
-        if s == ONE:
-            if y0 == x0:
-                identity_spans.append((x0, x1))
-        else:
-            # f(x) - x has a single root on this segment, if any.
-            root = (y0 - s * x0) / (ONE - s)
-            if x0 <= root <= x1:
-                fixed_cuts.append(root)
-    fixed_cuts.append(f.ell)
-    # Every event point is fixed by f, and between consecutive events f is
-    # either the identity or fixed-point free, so the midpoint decides.
-    events = sorted(set(fixed_cuts) | {a for a, _ in identity_spans} | {b for _, b in identity_spans})
+    """Maximal open intervals where f(x) != x, in one pass over the knots.
+
+    On each segment f(x) - x is affine: it vanishes on the whole segment,
+    at a knot, or at the one crossing x0 + (x0 - y0)/(s - 1) where it
+    changes sign.  Intervals open and close at these fixed points.
+    """
     out = []
-    for a, b in zip(events, events[1:]):
-        mid = (a + b) * ExactNumber.rational(1, 2)
-        if f(mid) != mid:
-            out.append((a, b))
+    start = None
+    d0 = 0  # sign of f(x) - x at the left knot; f(0) = 0
+    for (x0, y0), (x1, y1), s in zip(f._knots, f._knots[1:], f.slopes):
+        d1 = (y1 - x1).sign()
+        if d0 == 0 and d1 != 0:
+            start = x0
+        elif d0 * d1 < 0:
+            cross = x0 + (x0 - y0) / (s - ONE)
+            out.append((start, cross))
+            start = cross
+        if d1 == 0 and start is not None:
+            out.append((start, x1))
+            start = None
+        d0 = d1
     return tuple(out)
 
 
@@ -218,11 +209,11 @@ def is_member(f: PLMap, spec: PLGroupSpec) -> MembershipReport:
     if f.ell != spec.ell:
         return MembershipReport(False, (f"domain [0,{f.ell}] does not match [0,{spec.ell}]",))
     violations = []
-    for b in f.breakpoints:
+    for b, image in f._knots[1:-1]:
         if not spec.singularities.contains(b):
             violations.append(f"singularity {b} is not in {spec.singularities}")
-        if not spec.singularities.contains(f(b)):
-            violations.append(f"image {f(b)} of singularity {b} is not in {spec.singularities}")
+        if not spec.singularities.contains(image):
+            violations.append(f"image {image} of singularity {b} is not in {spec.singularities}")
     for s in f.slopes:
         if not spec.slopes.contains(s):
             violations.append(f"slope {s} is not in {spec.slopes}")

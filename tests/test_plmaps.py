@@ -212,3 +212,120 @@ def test_plmap_literal_roundtrip():
         f = random_dyadic_map(rng)
         assert parse_plmap(format_plmap(f)) == f
     assert parse_plmap(format_plmap(TAU_MAP)) == TAU_MAP
+
+
+def test_make_rejects_a_slope_count_that_does_not_fit():
+    cases = (
+        ([R(1, 2)], [R(1, 2), R(3, 2), R(5)]),  # one slope too many
+        ([R(1, 2), R(3, 4)], [R(1, 2), R(3, 2)]),  # one breakpoint too many
+        ([], []),
+    )
+    for breaks, slopes in cases:
+        with pytest.raises(ValueError, match="one slope per segment"):
+            PLMap.make(ONE, breaks, slopes)
+
+
+def test_slope_at_rejects_points_outside_the_interval():
+    f = f2()
+    for x in (R(-5), R(-1, 8), R(9, 8), R(7)):
+        with pytest.raises(ValueError, match="outside"):
+            f.slope_at(x)
+    assert f.slope_at(R(0)) == R(1, 2)
+    assert f.slope_at(R(1, 2)) == R(2)
+    assert f.slope_at(ONE) == ONE
+
+
+# Independent oracles for the one-pass `compose` and `support`: they find
+# the pieces by inverting g, sorting candidate breakpoints and evaluating
+# both maps at the midpoint of every piece.
+
+
+def ref_compose(f: PLMap, g: PLMap) -> PLMap:
+    assert f.ell == g.ell
+    g_inv = g.inverse()
+    breaks = sorted(set(g.breakpoints) | {g_inv(b) for b in f.breakpoints})
+    slopes = []
+    prev = R(0)
+    half = R(1, 2)
+    for b in breaks + [f.ell]:
+        mid = (prev + b) * half
+        slopes.append(g.slope_at(mid) * f.slope_at(g(mid)))
+        prev = b
+    return PLMap.make(f.ell, breaks, slopes)
+
+
+def ref_support(f: PLMap) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
+    # Fixed points cutting [0, ell]: the ends, each root of f(x) - x on a
+    # segment of slope != 1, and the ends of each segment where f is the
+    # identity.  Between two consecutive cuts f is either the identity or
+    # moves every point, so the midpoint decides.
+    cuts = {R(0), f.ell}
+    points = [(R(0), f(R(0)))]
+    points += [(b, f(b)) for b in f.breakpoints] + [(f.ell, f(f.ell))]
+    for (x0, y0), (x1, _), s in zip(points, points[1:], f.slopes):
+        if s == ONE:
+            if y0 == x0:
+                cuts |= {x0, x1}
+        else:
+            root = (y0 - s * x0) / (ONE - s)
+            if x0 <= root <= x1:
+                cuts.add(root)
+    cuts = sorted(cuts)
+    half = R(1, 2)
+    return tuple((a, b) for a, b in zip(cuts, cuts[1:]) if f((a + b) * half) != (a + b) * half)
+
+
+PHI = ONE + TAU  # the golden ratio, 1/t
+FAMILIES = {
+    "golden": scaling_family(PHI, PHI**2, PHI**3),
+    "dyadic": scaling_family(2, 2, 2),
+    "2-3": scaling_family(3, 2, Fraction(3, 2)),
+}
+
+
+def random_word(rng, family, max_letters):
+    """A random word in the family's generators and their inverses, multiplied
+    out by the reference composition."""
+    letters = [m for gen in FAMILIES[family] for m in (gen, gen.inverse())]
+    out = PLMap.identity(1)
+    for _ in range(rng.randint(1, max_letters)):
+        out = ref_compose(out, rng.choice(letters))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_compose_matches_reference(family):
+    rng = random.Random(53)
+    identity = PLMap.identity(1)
+    for _ in range(12):
+        u, v = random_word(rng, family, 4), random_word(rng, family, 4)
+        # f o f^-1 puts every breakpoint of f on a knot of g.
+        for f, g in ((u, v), (v, u), (u, u.inverse()), (u, u), (u, identity), (identity, u)):
+            assert compose(f, g) == ref_compose(f, g)
+        assert compose(u, u.inverse()).is_identity
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_support_matches_reference(family):
+    rng = random.Random(59)
+    maps = list(FAMILIES[family]) + [PLMap.identity(1), TAU_MAP]
+    for _ in range(12):
+        u, v = random_word(rng, family, 4), random_word(rng, family, 4)
+        # A commutator has breakpoints both inside and outside its support.
+        maps += [u, ref_compose(ref_compose(u, v), ref_compose(u.inverse(), v.inverse()))]
+    for f in maps:
+        assert support(f) == ref_support(f)
+        assert support(f.inverse()) == ref_support(f)
+
+
+def test_support_crossings_and_fixed_spans():
+    # Slopes 1/2, 2, 1/2 cross the diagonal inside the middle segment, at
+    # 1/2; a map that is the identity on [1/4, 1/2] splits its support.
+    crossing = PLMap.make(ONE, (R(1, 3), R(2, 3)), (R(1, 2), R(2), R(1, 2)))
+    assert support(crossing) == ((R(0), R(1, 2)), (R(1, 2), ONE))
+    assert support(crossing) == ref_support(crossing)
+    split = PLMap.make(
+        ONE, (R(1, 8), R(1, 4), R(1, 2), R(3, 4)), (R(1, 2), R(3, 2), ONE, R(1, 2), R(3, 2))
+    )
+    assert support(split) == ((R(0), R(1, 4)), (R(1, 2), ONE))
+    assert support(split) == ref_support(split)
