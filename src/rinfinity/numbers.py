@@ -2,9 +2,12 @@
 subgroups of R that the piecewise-linear groups are built from.
 
 Every value is an element a + b*t of Q(sqrt5), where t = (sqrt(5)-1)/2 is
-the small golden ratio, subject to t**2 = 1 - t.  Rational numbers are the
-values with b == 0.  No floating point is used anywhere: signs are decided
-by integer squaring, and comparisons reduce to signs.
+the small golden ratio, subject to t**2 = 1 - t.  Both fields are always
+Fractions (ints are widened, floats refused), and the rational numbers are
+exactly the values with b == 0.  When both operands are rational, every
+operator works on a alone, so maps over Q never touch the sqrt5
+coordinate; otherwise signs are decided by integer squaring, and
+comparisons reduce to signs.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -23,6 +26,14 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {pos}: {text!r}")
         self.text = text
         self.pos = pos
+
+
+def _exact_field(value) -> Fraction:
+    """A field of ExactNumber as a Fraction: ints are widened, anything
+    inexact (a float, a Decimal) is refused."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"ExactNumber fields must be int or Fraction, not {type(value).__name__}")
 
 
 def _sqrt5_combination_sign(u: Fraction, v: Fraction) -> int:
@@ -48,6 +59,11 @@ class ExactNumber:
     a: Fraction
     b: Fraction = Fraction(0)
 
+    def __post_init__(self) -> None:
+        if type(self.a) is not Fraction or type(self.b) is not Fraction:
+            object.__setattr__(self, "a", _exact_field(self.a))
+            object.__setattr__(self, "b", _exact_field(self.b))
+
     @staticmethod
     def of(value) -> ExactNumber:
         if isinstance(value, ExactNumber):
@@ -66,25 +82,34 @@ class ExactNumber:
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.b
 
     def __add__(self, other) -> ExactNumber:
-        o = ExactNumber.of(other)
+        o = other if type(other) is ExactNumber else ExactNumber.of(other)
+        if not self.b and not o.b:
+            return ExactNumber(self.a + o.a)
         return ExactNumber(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self) -> ExactNumber:
+        if not self.b:
+            return ExactNumber(-self.a)
         return ExactNumber(-self.a, -self.b)
 
     def __sub__(self, other) -> ExactNumber:
-        return self + (-ExactNumber.of(other))
+        o = other if type(other) is ExactNumber else ExactNumber.of(other)
+        if not self.b and not o.b:
+            return ExactNumber(self.a - o.a)
+        return ExactNumber(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other) -> ExactNumber:
-        return (-self) + other
+        return ExactNumber.of(other) - self
 
     def __mul__(self, other) -> ExactNumber:
-        o = ExactNumber.of(other)
+        o = other if type(other) is ExactNumber else ExactNumber.of(other)
+        if not self.b and not o.b:
+            return ExactNumber(self.a * o.a)
         # (a1 + b1 t)(a2 + b2 t) with t^2 = 1 - t.
         cross = self.a * o.b + self.b * o.a
         sq = self.b * o.b
@@ -101,6 +126,10 @@ class ExactNumber:
         return self.a * self.a - self.a * self.b - self.b * self.b
 
     def inverse(self) -> ExactNumber:
+        if not self.b:
+            if not self.a:
+                raise ZeroDivisionError("division by zero")
+            return ExactNumber(Fraction(self.a.denominator, self.a.numerator))
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero")
@@ -108,10 +137,15 @@ class ExactNumber:
         return ExactNumber(c.a / n, c.b / n)
 
     def __truediv__(self, other) -> ExactNumber:
-        return self * ExactNumber.of(other).inverse()
+        o = other if type(other) is ExactNumber else ExactNumber.of(other)
+        if not self.b and not o.b:
+            if not o.a:
+                raise ZeroDivisionError("division by zero")
+            return ExactNumber(self.a / o.a)
+        return self * o.inverse()
 
     def __rtruediv__(self, other) -> ExactNumber:
-        return ExactNumber.of(other) * self.inverse()
+        return ExactNumber.of(other) / self
 
     def __pow__(self, k: int) -> ExactNumber:
         if k < 0:
@@ -126,29 +160,45 @@ class ExactNumber:
         return result
 
     def sign(self) -> int:
+        if not self.b:
+            n = self.a.numerator
+            return (n > 0) - (n < 0)
         # a + b t = ((2a - b) + b*sqrt5) / 2
         return _sqrt5_combination_sign(2 * self.a - self.b, self.b)
 
     def __lt__(self, other) -> bool:
-        return (self - ExactNumber.of(other)).sign() < 0
+        o = other if type(other) is ExactNumber else ExactNumber.of(other)
+        if not self.b and not o.b:
+            return self.a < o.a
+        return (self - o).sign() < 0
 
     def __le__(self, other) -> bool:
-        return (self - ExactNumber.of(other)).sign() <= 0
+        o = other if type(other) is ExactNumber else ExactNumber.of(other)
+        if not self.b and not o.b:
+            return self.a <= o.a
+        return (self - o).sign() <= 0
 
     def __gt__(self, other) -> bool:
-        return (self - ExactNumber.of(other)).sign() > 0
+        o = other if type(other) is ExactNumber else ExactNumber.of(other)
+        if not self.b and not o.b:
+            return self.a > o.a
+        return (self - o).sign() > 0
 
     def __ge__(self, other) -> bool:
-        return (self - ExactNumber.of(other)).sign() >= 0
+        o = other if type(other) is ExactNumber else ExactNumber.of(other)
+        if not self.b and not o.b:
+            return self.a >= o.a
+        return (self - o).sign() >= 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, ExactNumber)):
-            o = ExactNumber.of(other)
-            return self.a == o.a and self.b == o.b
-        return NotImplemented
+        if type(other) is not ExactNumber:
+            if not isinstance(other, (int, Fraction, ExactNumber)):
+                return NotImplemented
+            other = ExactNumber.of(other)
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if not self.b:
             return hash(self.a)
         return hash((self.a, self.b))
 
@@ -197,13 +247,20 @@ def parse_number(text: str) -> ExactNumber:
                 bad = text.index(stripped) + i if stripped else 0
                 break
         raise ParseError("invalid number literal", text, bad)
-    a = Fraction(m.group(1))
+    a = _literal_fraction(text, m, 1)
     if m.group(2) is None:
         return ExactNumber(a)
-    b = Fraction(m.group(3))
+    b = _literal_fraction(text, m, 3)
     if m.group(2) == "-":
         b = -b
     return ExactNumber(a, b)
+
+
+def _literal_fraction(text: str, m: re.Match, group: int) -> Fraction:
+    num, slash, den = m.group(group).partition("/")
+    if slash and int(den) == 0:
+        raise ParseError("zero denominator", text, m.start(group) + len(num) + 1)
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 class NonMember(ValueError):

@@ -17,6 +17,7 @@ from rinfinity.numbers import (
     parse_number,
     parse_slope_group,
 )
+from rinfinity.plmaps import parse_plmap
 
 mpmath.mp.dps = 50
 TAU_DEC = (mpmath.sqrt(5) - 1) / 2
@@ -196,3 +197,102 @@ def test_group_spec_parsing():
     assert parse_additive_group("Q") == AdditiveGroup.rationals()
     assert parse_slope_group("<2,3>") == SlopeGroup.of(2, 3)
     assert parse_slope_group("<0+1*t>") == SlopeGroup.of(TAU)
+
+
+def test_fields_are_fractions_and_floats_are_refused():
+    x = ExactNumber(3, -2)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert x == ExactNumber.quadratic(3, -2)
+    assert type(ExactNumber(7).b) is Fraction
+    assert type((ExactNumber(1) / ExactNumber(2)).a) is Fraction
+    assert ExactNumber(1) / ExactNumber(2) == ExactNumber.rational(1, 2)
+    for bad in ((0.5,), (1, 0.5), ("1",), (Fraction(1), None)):
+        with pytest.raises(TypeError):
+            ExactNumber(*bad)
+
+
+def test_zero_denominator_is_a_parse_error():
+    for text in ("1/0", "2+1/0*t", "0/0", "1-3/00*t"):
+        with pytest.raises(ParseError) as info:
+            parse_number(text)
+        assert text[info.value.pos] == "0" and text[info.value.pos - 1] == "/"
+    with pytest.raises(ParseError):
+        parse_plmap("pl ell=1/0 breaks=[] slopes=[1]")
+    with pytest.raises(ParseError):
+        parse_slope_group("<2,1/0>")
+
+
+def assert_rational(x: ExactNumber, q: Fraction) -> None:
+    """x is the rational q, stored the way every rational is stored."""
+    assert type(x) is ExactNumber
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert x.a == q and x.b == 0 and x.is_rational
+
+
+def test_rational_operations_match_fraction():
+    rng = random.Random(8)
+    for _ in range(600):
+        x, y = random_exact(rng, quadratic=False), random_exact(rng, quadratic=False)
+        p, q = x.a, y.a
+        k = rng.randint(-5, 5)
+        assert_rational(x + y, p + q)
+        assert_rational(x + k, p + k)
+        assert_rational(k + x, k + p)
+        assert_rational(x - y, p - q)
+        assert_rational(x - k, p - k)
+        assert_rational(q - x, q - p)
+        assert_rational(-x, -p)
+        assert_rational(x * y, p * q)
+        assert_rational(x * k, p * k)
+        assert_rational(q * x, q * p)
+        if q:
+            assert_rational(x / y, p / q)
+            assert_rational(y.inverse(), 1 / q)
+        if k:
+            assert_rational(x / k, p / k)
+        if p:
+            assert_rational(k / x, k / p)
+        for e in range(-3, 4):
+            if p or e >= 0:
+                assert_rational(x**e, p**e)
+        assert x.sign() == (p > 0) - (p < 0)
+        assert (x < y, x <= y, x > y, x >= y) == (p < q, p <= q, p > q, p >= q)
+        assert (x < q, x <= k, x > k, x >= q) == (p < q, p <= k, p > k, p >= q)
+        assert (x == y) == (p == q)
+        assert hash(x) == hash(p)
+        assert hash(x) == hash(ExactNumber(p, Fraction(0)))
+
+
+def test_mixed_operations_match_decimal_oracle():
+    rng = random.Random(9)
+    tol = mpmath.mpf("1e-40")
+    for _ in range(300):
+        x, y = random_exact(rng, quadratic=False), random_exact(rng)
+        if not y.b:
+            continue
+        dx, dy = to_decimal(x), to_decimal(y)
+        for u, v, du, dv in ((x, y, dx, dy), (y, x, dy, dx)):
+            assert abs(to_decimal(u + v) - (du + dv)) < tol
+            assert abs(to_decimal(u - v) - (du - dv)) < tol
+            assert abs(to_decimal(u * v) - du * dv) < tol
+            if v:
+                assert abs(to_decimal(u / v) - du / dv) < tol
+            assert (u < v, u <= v, u > v, u >= v) == (du < dv, du <= dv, du > dv, du >= dv)
+            assert u != v
+        assert abs(to_decimal(-y) + dy) < tol
+        assert abs(to_decimal(y.inverse()) * dy - 1) < tol
+
+
+def test_division_by_a_rational_zero():
+    zero = ExactNumber.rational(0)
+    for x in (ONE, ExactNumber.rational(-3, 4), TAU, zero):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+        with pytest.raises(ZeroDivisionError):
+            x / 0
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        zero**-1
+    with pytest.raises(ZeroDivisionError):
+        3 / zero

@@ -329,3 +329,42 @@ def test_support_crossings_and_fixed_spans():
     )
     assert support(split) == ((R(0), R(1, 4)), (R(1, 2), ONE))
     assert support(split) == ref_support(split)
+
+
+def test_rational_pipeline_never_reaches_the_sqrt5_sign(monkeypatch):
+    # Maps over Q must take the rational path of every ExactNumber operator:
+    # with the sign test for irrational values disabled, the PL operations
+    # on F and on a (3, 2, 3/2) scaling family still run.
+    from rinfinity import numbers
+    from rinfinity.treepairs import X0, X1, to_pl
+    from rinfinity.treepairs import inverse as tree_inverse
+
+    def refuse(u, v):
+        raise AssertionError("a rational operand reached the sqrt5 sign test")
+
+    monkeypatch.setattr(numbers, "_sqrt5_combination_sign", refuse)
+    rng = random.Random(61)
+    f_letters = [to_pl(d) for d in (X0, X1, tree_inverse(X0), tree_inverse(X1))]
+    family = scaling_family(3, 2, Fraction(3, 2))
+    family_letters = [m for gen in family for m in (gen, gen.inverse())]
+    # (word, slope group of its endpoint characters, is it in F)
+    words = [
+        ([rng.choice(f_letters) for _ in range(30)], SlopeGroup.of(2), True),
+        ([rng.choice(family_letters) for _ in range(8)], SlopeGroup.of(2, 3), False),
+        ([rng.choice(family_letters) for _ in range(12)], SlopeGroup.of(2, 3), False),
+    ]
+    for word, slopes, in_f in words:
+        f = PLMap.identity(1)
+        for letter in word:
+            f = compose(f, letter)
+        g = f.inverse()
+        assert compose(f, g).is_identity
+        assert all(b.is_rational for b in f.breakpoints + g.breakpoints)
+        assert support(g) == support(f)
+        assert is_member(f, F_SPEC).ok == in_f
+        assert is_member(g, F_SPEC).ok == in_f
+        left, right = endpoint_characters(f, slopes)
+        assert endpoint_characters(g, slopes) == (
+            tuple(-e for e in left),
+            tuple(-e for e in right),
+        )
