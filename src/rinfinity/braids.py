@@ -116,9 +116,8 @@ def _find_handle(letters: list[int]) -> tuple[int, int] | None:
     for q, l in enumerate(letters):
         i = abs(l)
         p = last_seen.get(i)
-        if p is not None and letters[p] == -l:
-            if all(abs(letters[k]) != i - 1 for k in range(p + 1, q)):
-                return p, q
+        if p is not None and letters[p] == -l and last_seen.get(i - 1, -1) < p:
+            return p, q
         last_seen[i] = q
     return None
 
@@ -179,23 +178,23 @@ def _block_cross(base: int, u: int, v: int, sign: int) -> list[int]:
     return [-(l) for l in reversed(_block_cross(base, v, u, 1))]
 
 
+def _follow(p: int, i: int) -> int:
+    """Position after the crossing sigma_i of the strand at position p."""
+    return i + 1 if p == i else i if p == i + 1 else p
+
+
 def cable(b: BraidWord, strand: int) -> BraidWord:
     """Double the strand with the given start position into two parallel
     strands, rewriting each crossing as a block crossing."""
     if not 1 <= strand <= b.n:
         raise ValueError(f"strand {strand} out of range")
-    pos = list(range(1, b.n + 1))
+    p = strand  # current position of the doubled strand
     out: list[int] = []
     for l in b.letters:
         i = abs(l)
-        sign = 1 if l > 0 else -1
-        left, right = pos[i - 1], pos[i]
-        widths = [2 if s == strand else 1 for s in pos]
-        base = 1 + sum(widths[: i - 1])
-        u = 2 if left == strand else 1
-        v = 2 if right == strand else 1
-        out.extend(_block_cross(base, u, v, sign))
-        pos[i - 1], pos[i] = right, left
+        u, v = (2 if p == i else 1), (2 if p == i + 1 else 1)
+        out.extend(_block_cross(i + 1 if p < i else i, u, v, 1 if l > 0 else -1))
+        p = _follow(p, i)
     return BraidWord(b.n + 1, tuple(out))
 
 
@@ -204,15 +203,13 @@ def delete_strand(b: BraidWord, strand: int) -> BraidWord:
     it disappear and the other letters shift accordingly."""
     if not 1 <= strand <= b.n:
         raise ValueError(f"strand {strand} out of range")
-    pos = list(range(1, b.n + 1))
+    p = strand  # current position of the deleted strand
     out: list[int] = []
     for l in b.letters:
         i = abs(l)
-        left, right = pos[i - 1], pos[i]
-        if strand not in (left, right):
-            removed_pos = pos.index(strand) + 1
-            out.append((i - 1 if removed_pos < i else i) * (1 if l > 0 else -1))
-        pos[i - 1], pos[i] = right, left
+        if p not in (i, i + 1):
+            out.append((i - 1 if p < i else i) * (1 if l > 0 else -1))
+        p = _follow(p, i)
     return BraidWord(b.n - 1, tuple(out))
 
 

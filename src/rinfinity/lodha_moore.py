@@ -5,11 +5,16 @@ The generator x relabels a neighborhood of the Cantor set
 (00a -> 0a, 01a -> 10a, 1a -> 11a) and y does the same while re-entering
 itself on each branch (0y(a), 10y^-1(a), 11y(a)); x_s and y_t act inside
 the cylinder at the finite address s and fix everything else.  Words act
-rightmost letter first.
+rightmost letter first.  The variants G, yG, Gy, yGy differ only in the
+ends (0...0, 1...1) at which they have y-letters; `_Y_ENDS` records them,
+and the allowed y-addresses, the domain of each character chi_b / psi_b
+and the pair `quotient_image` uses are all read off it.
 
-Each letter is a small sequential transducer (match the address, then run
-the case rules, buffering at most two input bits), and a word is the
-pipeline of its letters.  Prefix evaluation streams bits through the
+Each letter is a small sequential transducer, and a word is the pipeline
+of its letters.  A letter's state is an int (the number of address bits
+matched so far), then (sign, bits read) inside a case of the rule table
+`_CASES`, which buffers at most two input bits, and None once the letter is
+the identity for good.  Prefix evaluation streams bits through the
 pipeline; the depth-bounded equality test explores the product of two
 pipelines over all inputs with d branching bits followed by one of the
 periodic tails 0^w, 1^w, (10)^w, sharing states across inputs.  A
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count
 
 from .numbers import ParseError
 
@@ -29,14 +33,10 @@ Bits = tuple[int, ...]
 
 VARIANTS = ("G", "yG", "Gy", "yGy")
 
-# y-addresses each variant must avoid: constant-zero and/or constant-one
-# addresses (the empty address is both).
-_EXCLUDES = {
-    "G": ("zeros", "ones"),
-    "yG": ("ones",),
-    "Gy": ("zeros",),
-    "yGy": (),
-}
+# The ends (0 for 0...0, 1 for 1...1) at which each variant has y-letters.
+# A y-address constant at any other end is excluded; the empty address is
+# constant at both.
+_Y_ENDS = {"G": (), "yG": (0,), "Gy": (1,), "yGy": (0, 1)}
 
 
 def is_constant(addr: Bits, bit: int) -> bool:
@@ -46,12 +46,7 @@ def is_constant(addr: Bits, bit: int) -> bool:
 def y_address_allowed(addr: Bits, variant: str) -> bool:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    rules = _EXCLUDES[variant]
-    if "zeros" in rules and is_constant(addr, 0):
-        return False
-    if "ones" in rules and is_constant(addr, 1):
-        return False
-    return True
+    return all(end in _Y_ENDS[variant] or not is_constant(addr, end) for end in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -147,55 +142,35 @@ TAILS = {"0^w": (0,), "1^w": (1,), "(10)^w": (1, 0)}
 
 # --- letter transducers -------------------------------------------------
 
-_MATCH = "m"
-_IDENT = "i"
-_CASE = "c"
-_CASE0 = "c0"
-_CASE1 = "c1"
+# The case rules of x^sign and y^sign: bits read -> (bits written, sign with
+# which a y-letter re-enters itself).  An x-letter is the identity after its
+# case.
+_CASES = {
+    1: {(0, 0): ((0,), 1), (0, 1): ((1, 0), -1), (1,): ((1, 1), 1)},
+    -1: {(0,): ((0, 0), -1), (1, 0): ((0, 1), 1), (1, 1): ((1,), -1)},
+}
 
 
 def _letter_initial(letter: LMLetter):
-    if letter.address:
-        return (_MATCH, 0)
-    return (_CASE, letter.sign)
+    return 0 if letter.address else (letter.sign, ())
 
 
 def _letter_step(letter: LMLetter, state, bit: int):
     """One input bit through one letter; returns (state', emitted bits)."""
-    tag = state[0]
-    if tag == _IDENT:
-        return state, (bit,)
-    if tag == _MATCH:
-        i = state[1]
-        if bit != letter.address[i]:
-            return (_IDENT,), (bit,)
-        if i + 1 < len(letter.address):
-            return (_MATCH, i + 1), (bit,)
-        return (_CASE, letter.sign), (bit,)
-    sign = state[1]
-    if letter.kind == "x":
-        after = (_IDENT,)
-    else:
-        after = None  # computed per branch below
-    if sign > 0:
-        # 00a -> 0 _, 01a -> 10 _, 1a -> 11 _
-        if tag == _CASE:
-            return ((_CASE0, sign), ()) if bit == 0 else (
-                (after or (_CASE, sign)), (1, 1))
-        if tag == _CASE0:
-            if bit == 0:
-                return (after or (_CASE, sign)), (0,)
-            return (after or (_CASE, -sign)), (1, 0)
-    else:
-        # 0a -> 00 _, 10a -> 01 _, 11a -> 1 _
-        if tag == _CASE:
-            return ((after or (_CASE, sign)), (0, 0)) if bit == 0 else (
-                (_CASE1, sign), ())
-        if tag == _CASE1:
-            if bit == 0:
-                return (after or (_CASE, -sign)), (0, 1)
-            return (after or (_CASE, sign)), (1,)
-    raise AssertionError(f"bad state {state}")
+    if state is None:
+        return None, (bit,)
+    if isinstance(state, int):
+        if bit != letter.address[state]:
+            return None, (bit,)
+        state += 1
+        return (state if state < len(letter.address) else (letter.sign, ())), (bit,)
+    sign, read = state
+    read += (bit,)
+    rule = _CASES[sign].get(read)
+    if rule is None:
+        return (sign, read), ()
+    written, reentry = rule
+    return (None if letter.kind == "x" else (reentry, ())), written
 
 
 class WordMachine:
@@ -300,7 +275,7 @@ def _certify(w1: LMWord, w2: LMWord, prefix: Bits, tail: str) -> Witness:
         o2 = evaluate_prefix(w2, seq, k)
         if o1 != o2:
             pos = next(i for i in range(k) if o1[i] != o2[i])
-            return Witness(seq.preperiod, tail, pos)
+            return Witness(prefix, tail, pos)
         k *= 2
     raise AssertionError("mismatch vanished during certification")
 
@@ -344,6 +319,8 @@ def equal_up_to_depth(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
 
     cap = max(_push_cap(w1, d), _push_cap(w2, d))
     tail_seen: set = set()
+    # A walk may end at the cap without repeating a state (one word emits more
+    # slowly on the tail, so the surplus grows); it agrees through cap bits.
     for node in list(depth_of):
         for tail_name, period in TAILS.items():
             cur = node
@@ -464,54 +441,50 @@ def relation_suite(s: Bits, t: Bits, d: int, variant: str = "yGy") -> list[Relat
 
 # --- characters -----------------------------------------------------------
 
-CHARACTERS = ("chi0", "chi1", "psi0", "psi1")
-
-_APPLICABLE = {
-    "chi0": ("G", "Gy"),
-    "chi1": ("G", "yG"),
-    "psi0": ("yG", "yGy"),
-    "psi1": ("Gy", "yGy"),
+# Each character sums weight * sign over the letters of one kind whose
+# address is constant at one end; the last entry is its sign in
+# `quotient_image`.  chi_b is defined where the variant has no y-letters at
+# end b, psi_b where it has.
+_CHARACTER_RULES = {
+    "chi0": ("x", 0, -1, 1),
+    "chi1": ("x", 1, 1, 1),
+    "psi0": ("y", 0, 1, 1),
+    "psi1": ("y", 1, 1, -1),
 }
-
-QUOTIENT_PAIRS: dict[str, tuple[tuple[str, int], tuple[str, int]]] = {
-    "G": (("chi0", 1), ("chi1", 1)),
-    "yG": (("psi0", 1), ("chi1", 1)),
-    "Gy": (("chi0", 1), ("psi1", -1)),
-    "yGy": (("psi0", 1), ("psi1", -1)),
-}
+CHARACTERS = tuple(_CHARACTER_RULES)
 
 
-def _letter_value(name: str, letter: LMLetter) -> int:
-    if name == "chi0":
-        return -letter.sign if letter.kind == "x" and is_constant(letter.address, 0) else 0
-    if name == "chi1":
-        return letter.sign if letter.kind == "x" and is_constant(letter.address, 1) else 0
-    if name == "psi0":
-        return letter.sign if letter.kind == "y" and is_constant(letter.address, 0) else 0
-    if name == "psi1":
-        return letter.sign if letter.kind == "y" and is_constant(letter.address, 1) else 0
-    raise ValueError(f"unknown character {name!r}")
+def _character_at(end: int, variant: str) -> str:
+    kind = "y" if end in _Y_ENDS[variant] else "x"
+    return next(n for n, rule in _CHARACTER_RULES.items() if rule[:2] == (kind, end))
+
+
+def _defined_on(name: str, variant: str) -> bool:
+    return name == _character_at(_CHARACTER_RULES[name][1], variant)
 
 
 def character_value(word: LMWord, name: str) -> int:
-    if word.variant not in _APPLICABLE[name]:
+    if name not in _CHARACTER_RULES:
+        raise ValueError(f"unknown character {name!r}")
+    if not _defined_on(name, word.variant):
         raise ValueError(f"character {name} is not defined on variant {word.variant}")
-    return sum(_letter_value(name, l) for l in word.letters)
+    kind, end, weight, _ = _CHARACTER_RULES[name]
+    return weight * sum(
+        l.sign for l in word.letters if l.kind == kind and is_constant(l.address, end)
+    )
 
 
 def characters(word: LMWord) -> dict[str, int]:
     """Values of every character defined on the word's variant."""
-    return {
-        name: character_value(word, name)
-        for name in CHARACTERS
-        if word.variant in _APPLICABLE[name]
-    }
+    return {n: character_value(word, n) for n in CHARACTERS if _defined_on(n, word.variant)}
 
 
 def quotient_image(word: LMWord) -> tuple[int, int]:
-    """Image in Z^2 under the variant's distinguished character pair."""
-    (n1, s1), (n2, s2) = QUOTIENT_PAIRS[word.variant]
-    return s1 * character_value(word, n1), s2 * character_value(word, n2)
+    """Image in Z^2 under the characters defined at ends 0 and 1, with psi1
+    negated."""
+    names = (_character_at(end, word.variant) for end in (0, 1))
+    v0, v1 = (_CHARACTER_RULES[n][3] * character_value(word, n) for n in names)
+    return v0, v1
 
 
 # --- word literals --------------------------------------------------------
@@ -536,7 +509,4 @@ def parse_word(text: str, variant: str = "yGy") -> LMWord:
 
 
 def format_word(word: LMWord) -> str:
-    return " ".join(
-        f"{l.kind}({''.join(map(str, l.address))})" + ("'" if l.sign < 0 else "")
-        for l in word.letters
-    )
+    return " ".join(map(str, word.letters))

@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 
 class ParseError(ValueError):
@@ -302,14 +301,11 @@ class AdditiveGroup:
         if self.kind == "zinv":
             if not x.is_rational:
                 return False
+            # d divides a power of n iff it divides n^k for k >= every
+            # prime exponent of d, and bit_length bounds those.
             d = x.a.denominator
             assert self.n is not None
-            g = gcd(d, self.n)
-            while g > 1:
-                while d % g == 0:
-                    d //= g
-                g = gcd(d, self.n)
-            return d == 1
+            return pow(self.n, d.bit_length(), d) == 0
         return x.a.denominator == 1 and x.b.denominator == 1
 
     def sample_elements(self) -> tuple[ExactNumber, ...]:

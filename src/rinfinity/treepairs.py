@@ -335,41 +335,53 @@ def to_pl(d: TreePair) -> PLMap:
     return PLMap.make(ExactNumber.of(1), breaks, slopes)
 
 
+def _floor_log2(q: Fraction) -> int:
+    """floor(log2 q) for q > 0."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if (q.numerator << max(-e, 0)) < (q.denominator << max(e, 0)):
+        e -= 1
+    return e
+
+
+def _tree_from_depths(depths: list[int]) -> Tree:
+    """The tree whose leaves, left to right, lie at the given depths: one
+    stack of (depth, subtree) that merges equal-depth neighbours, which are
+    siblings because the depths on the stack strictly increase."""
+    stack: list[tuple[int, Tree]] = []
+    for k in depths:
+        t = LEAF
+        while stack and stack[-1][0] == k:
+            t = caret(stack.pop()[1], t)
+            k -= 1
+        stack.append((k, t))
+    assert len(stack) == 1, "leaf depths do not form a binary subdivision"
+    return stack[0][1]
+
+
 def from_pl(f: PLMap) -> TreePair:
-    """Inverse of to_pl on members of the dyadic group; raises on others."""
+    """Inverse of to_pl on members of the dyadic group; raises on others.
+
+    One walk over the affine pieces: from x (with image y) on a piece of
+    slope s ending at x1, the next leaf has the largest width w = 2^-k with
+    x and y/s multiples of w and x + w <= x1, and its image has width s*w.
+    (w <= 1 and s*w <= 1 follow.)  Both trees are built from their leaf
+    depths, then reduced."""
     report = is_member(f, _dyadic_spec())
     if not report.ok:
         raise ValueError("map is not in the dyadic PL group: " + "; ".join(report.violations))
-
-    def is_pow2(q: Fraction) -> bool:
-        return (q.numerator == 1 and q.denominator & (q.denominator - 1) == 0) or (
-            q.denominator == 1 and q.numerator & (q.numerator - 1) == 0
-        )
-
-    def affine_onto_standard(lo: Fraction, hi: Fraction) -> bool:
-        """f is affine on [lo, hi] and maps it onto a standard dyadic interval."""
-        if any(lo < b.a < hi for b in f.breakpoints):
-            return False
-        flo, fhi = f(ExactNumber.of(lo)).a, f(ExactNumber.of(hi)).a
-        width = fhi - flo
-        return is_pow2(width) and (flo / width).denominator == 1
-
-    def build(lo: Fraction, hi: Fraction) -> Tree:
-        if affine_onto_standard(lo, hi):
-            return LEAF
-        mid = (lo + hi) / 2
-        return caret(build(lo, mid), build(mid, hi))
-
-    plus = build(Fraction(0), Fraction(1))
-    images = [f(ExactNumber.of(hi)).a for (_, hi) in leaf_intervals(plus)[:-1]]
-
-    def build_from_cuts(lo: Fraction, hi: Fraction, cuts: list[Fraction]) -> Tree:
-        if not cuts:
-            return LEAF
-        mid = (lo + hi) / 2
-        assert mid in cuts, "image partition is not a binary subdivision"
-        k = cuts.index(mid)
-        return caret(build_from_cuts(lo, mid, cuts[:k]), build_from_cuts(mid, hi, cuts[k + 1 :]))
-
-    minus = build_from_cuts(Fraction(0), Fraction(1), images)
-    return reduce(TreePair(minus, plus))
+    plus: list[int] = []
+    minus: list[int] = []
+    x = y = Fraction(0)
+    for x1, s in zip(f.breakpoints + (f.ell,), f.slopes):
+        x1, e = x1.a, _floor_log2(s.a)
+        while x < x1:
+            k = max(
+                x.denominator.bit_length() - 1,
+                e + y.denominator.bit_length() - 1,
+                -_floor_log2(x1 - x),
+            )
+            plus.append(k)
+            minus.append(k - e)
+            x += Fraction(1, 1 << k)
+            y += Fraction(1, 1 << (k - e))
+    return reduce(TreePair(_tree_from_depths(minus), _tree_from_depths(plus)))

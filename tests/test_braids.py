@@ -5,6 +5,7 @@ import pytest
 
 from rinfinity.braids import (
     BraidWord,
+    _find_handle,
     braid_equal,
     cable,
     delete_strand,
@@ -202,3 +203,26 @@ def test_parse_format_roundtrip():
         assert parse_braid(format_braid(b), n) == b
     assert parse_braid("s1 s2' s1", 3) == BraidWord(3, (1, -2, 1))
     assert parse_braid("e", 3) == BraidWord(3)
+
+
+def brute_force_handle(letters):
+    """The handle (p, q) with the smallest q, by trying every pair."""
+    for q in range(len(letters)):
+        i = abs(letters[q])
+        for p in range(q - 1, -1, -1):
+            between = {abs(l) for l in letters[p + 1 : q]}
+            if letters[p] == -letters[q] and not between & {i, i - 1}:
+                return p, q
+    return None
+
+
+def test_find_handle_matches_brute_force():
+    rng = random.Random(79)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        letters = list(random_word(rng, n, rng.randint(0, 14)).letters)
+        expected = brute_force_handle(letters)
+        assert _find_handle(letters) == expected, letters
+        found += expected is not None
+    assert found > 500

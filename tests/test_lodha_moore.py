@@ -6,6 +6,7 @@ import pytest
 from rinfinity.lodha_moore import (
     ONES,
     TAILS,
+    VARIANTS,
     ZEROS,
     EventuallyPeriodicSeq,
     LMLetter,
@@ -177,6 +178,22 @@ def test_characters_on_generators():
         character_value(W(X(), variant="yGy"), "chi0")
 
 
+def test_unknown_character_is_a_value_error():
+    for variant in VARIANTS:
+        with pytest.raises(ValueError):
+            character_value(W(variant=variant), "foo")
+
+
+def test_character_domains_follow_the_y_ends():
+    domains = {v: set(characters(W(variant=v))) for v in VARIANTS}
+    assert domains == {
+        "G": {"chi0", "chi1"},
+        "yG": {"psi0", "chi1"},
+        "Gy": {"chi0", "psi1"},
+        "yGy": {"psi0", "psi1"},
+    }
+
+
 def test_character_lm5_consistency():
     # value on y_00 equals the sum over its expansion at s = 00
     lhs = character_value(W(Y(0, 0), variant="yGy"), "psi0")
@@ -254,3 +271,78 @@ def test_word_parse_roundtrip():
     w = parse_word("x(011) y(01)' x()")
     assert w.letters == (X(0, 1, 1), Yi(0, 1), X())
     assert parse_word(format_word(w)) == w
+
+
+def assert_witnessed(w1, w2, d):
+    verdict = equal_up_to_depth(w1, w2, d)
+    assert verdict.distinct
+    s, k = verdict.witness.sequence(), verdict.witness.position + 1
+    assert evaluate_prefix(w1, s, k)[-1] != evaluate_prefix(w2, s, k)[-1]
+
+
+def test_slow_tail_walk_does_not_stop_the_search():
+    # On 0^w, y(000) emits one bit per two read and the identity one per bit,
+    # so the walk from the start node never repeats a state.  At depth <= 2
+    # the words agree on every tested input; at depth 3 they differ on
+    # 000(10)^w.
+    assert not equal_up_to_depth(W(Y(0, 0, 0)), W(), 2).distinct
+    assert_witnessed(W(Y(0, 0, 0)), W(), 4)
+    assert not equal_up_to_depth(W(Y()), W(Y(), Y(0, 0)), 1).distinct
+
+
+def test_witness_names_the_input_that_differs():
+    # The mismatch is on 00(10)^w, whose canonical form 0(01)^w has the
+    # preperiod 0; the witness must keep the prefix 00.
+    assert_witnessed(W(Y()), W(Y(), Y(0, 0)), 2)
+
+
+# The case rules of x^sign and y^sign as string rewrites: (read, write, sign
+# of the y-letter re-entered after it).  Kept apart from the library's table.
+CASE_RULES = {
+    1: (("00", "0", 1), ("01", "10", -1), ("1", "11", 1)),
+    -1: (("0", "00", -1), ("10", "01", 1), ("11", "1", -1)),
+}
+
+
+def oracle_letter(letter, bits):
+    """The letter applied to a finite bit string: the longest output that
+    every infinite extension of `bits` shares."""
+    s = "".join(map(str, letter.address))
+    if bits[: len(s)] != s:
+        return "" if s.startswith(bits) else bits
+    out, i, sign = [s], len(s), letter.sign
+    while True:
+        for read, write, again in CASE_RULES[sign]:
+            if bits.startswith(read, i):
+                break
+        else:
+            return "".join(out)  # too few bits left to pick a case
+        out.append(write)
+        i += len(read)
+        if letter.kind == "x":
+            return "".join(out) + bits[i:]
+        sign = again
+
+
+def test_evaluate_prefix_matches_case_rule_oracle():
+    rng = random.Random(109)
+    addresses = all_addresses(3)
+    for variant in VARIANTS:
+        y_addresses = [a for a in addresses if y_address_allowed(a, variant)]
+        for _ in range(40):
+            letters = []
+            for _ in range(rng.randint(1, 6)):
+                kind = rng.choice("xy")
+                addr = rng.choice(y_addresses if kind == "y" else addresses)
+                letters.append(LMLetter(kind, addr, rng.choice((1, -1))))
+            w = W(*letters, variant=variant)
+            s = seq(
+                [rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
+                [rng.randint(0, 1) for _ in range(rng.randint(1, 4))],
+            )
+            bits = "".join(map(str, s.prefix(1600)))
+            for letter in reversed(letters):
+                bits = oracle_letter(letter, bits)
+            k = min(len(bits), 40)
+            assert k >= 1
+            assert evaluate_prefix(w, s, k) == tuple(map(int, bits[:k])), (str(w), str(s))

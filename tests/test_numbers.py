@@ -12,6 +12,7 @@ from rinfinity.numbers import (
     NonMember,
     ParseError,
     SlopeGroup,
+    _prime_factors,
     format_number,
     parse_additive_group,
     parse_number,
@@ -106,6 +107,21 @@ def test_additive_group_membership():
     assert ztau.contains(ExactNumber.quadratic(2, -3))
     assert not ztau.contains(ExactNumber.quadratic(Fraction(1, 2), 1))
     assert AdditiveGroup.rationals().contains(ExactNumber.rational(22, 7))
+
+
+def test_z_inv_membership_matches_prime_factors():
+    # 1/d lies in Z[1/n] iff every prime of d divides n.
+    rng = random.Random(107)
+    dens = [1, 2**3000, 3 * 2**3000, 7 * 6**40, 6**40, 7 * 11**40]
+    dens += [rng.randint(2, 10**5) for _ in range(500)]
+    for _ in range(100):
+        p, q = rng.choice((2, 3, 5, 7)), rng.choice((3, 5, 11))
+        dens.append(p ** rng.randint(0, 200) * q ** rng.randint(0, 50))
+    for n in (2, 3, 6, 10, 12, 30, 35):
+        group, primes = AdditiveGroup.z_inv(n), set(_prime_factors(n))
+        for d in dens:
+            expected = set(_prime_factors(d)) <= primes
+            assert group.contains(ExactNumber.rational(1, d)) is expected, (n, d)
 
 
 def test_additive_group_closure_under_slopes():

@@ -128,6 +128,12 @@ def test_to_pl_from_pl_roundtrip():
         assert from_pl(to_pl(d)) == d
 
 
+def test_from_pl_roundtrip_on_a_long_power():
+    # PL equality, because tree equality recurses on a 600-deep vine.
+    f = to_pl(power(X0, 600))
+    assert to_pl(from_pl(f)) == f
+
+
 def test_from_pl_rejects_non_members():
     bad = PLMap.make(ExactNumber.of(1), (R(1, 3),), (R(2), R(1, 2)))
     with pytest.raises(ValueError):
