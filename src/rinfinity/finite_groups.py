@@ -2,11 +2,11 @@
 full catalogue of groups of order <= 16, automorphism enumeration, and the
 brute-force twisted-conjugacy oracle.
 
-Automorphisms are enumerated by images of a generating sequence, chosen
-one generator at a time.  Candidate images are pruned by element order,
-by membership in the subgroup the earlier images generate, and by the
-size of that subgroup; each surviving assignment is verified on the whole
-table.
+Automorphisms are enumerated by images of a generating sequence
+g_0 .. g_{k-1}, as cosets of the stabilisers S_i of g_0 .. g_{i-1}: one
+representative per coset is found by a pruned search and verified on the
+whole table (or is a product of verified ones), and every other
+automorphism is a product of verified ones.
 
 Elements are 0..n-1 with 0 the identity; the table is a flat tuple with
 table[a * n + b] = a * b.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -297,16 +298,31 @@ def small_groups_up_to_16() -> list[FiniteGroup]:
 
 def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     """All automorphisms, as permutations of 0..n-1, in lexicographic order
-    of the images of the generating sequence.
+    of the images of the generating sequence g_0 .. g_{k-1}.
 
-    Images of the generators g_0, g_1, ... are chosen one at a time.  A
-    candidate image b of g_i is skipped when its order differs from that
-    of g_i, when b lies in the subgroup generated by the earlier images, or
-    (below the last generator) when <b_0..b_i> differs in size from
-    <g_0..g_i>.  An automorphism passes all three tests, so only assignments
-    that are not automorphisms are skipped.  Every full assignment is still
-    extended to the whole group along the BFS word tree and verified on all
-    (element, generator) products and for bijectivity."""
+    Aut(G) is a union of cosets of stabilisers.  Let S_i be the
+    automorphisms that fix g_0 .. g_{i-1}, so that S_0 = Aut(G).  S_i is
+    the union of the cosets a_b . S_{i+1}, one for each image b of g_i under
+    S_i, where a_b is any element of S_i that sends g_i to b.
+
+    S_{k-1} is found by verifying every candidate image of g_{k-1}.  For
+    i < k - 1, S_{i+1} permutes the images of g_i, and one b per orbit is
+    tried: a depth-first search completes g_j -> g_j (j < i), g_i -> b and
+    stops at the first verified assignment.  If it finds a_b, then s . a_b
+    serves s(b) for every s in S_{i+1}; if not, no s(b) is an image.
+
+    The search picks later images one at a time.  A candidate image of g_j
+    is skipped when its order differs from that of g_j, when it lies in
+    the subgroup the earlier images generate, or (below the last
+    generator) when that subgroup differs in size from <g_0 .. g_j>; only
+    non-automorphisms fail these tests.  An assignment is verified by
+    extending it along the BFS word tree and checking all (element,
+    generator) products and bijectivity.
+
+    So one representative per coset is verified on the whole table, or is
+    a product of verified ones, and every other automorphism is a product
+    of verified ones.  Each coset of S_1 is sorted on its own, in order of
+    b."""
     n = g.order
     gens = g.generating_sequence
     k = len(gens)
@@ -328,30 +344,79 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     sizes = [len(g.subgroup_closure(gens[: i + 1])) for i in range(k)]
     candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in gens]
     columns = [g.table[c::n] for c in range(n)]
-    out: list[tuple[int, ...]] = []
-    assignment = [0] * k
+    assignment = list(gens)
     images = [0] * n
-    # spans[i] is the subgroup generated by assignment[:i]
+    # spans[j] is the subgroup generated by assignment[:j]
     spans: list[set[int]] = [{0}] * k
-    stack = [iter(candidates[0])]
-    while stack:
-        i = len(stack) - 1
-        span = spans[i]
-        for b in stack[i]:
-            if b in span:
+
+    def first_extension(i: int) -> tuple[int, ...] | None:
+        """The first verified automorphism whose generator images begin
+        with assignment[: i + 1], or None if there is none (i < k - 1)."""
+        spans[i + 1] = g.subgroup_closure(assignment[: i + 1])
+        if len(spans[i + 1]) != sizes[i]:
+            return None
+        stack = [iter(candidates[i + 1])]
+        while stack:
+            j = i + len(stack)
+            span = spans[j]
+            for b in stack[-1]:
+                if b in span:
+                    continue
+                assignment[j] = b
+                if j == k - 1:
+                    if _extend_checked(columns, n, gens, steps, assignment, images):
+                        return tuple(images)
+                    continue
+                closure = g.subgroup_closure(assignment[: j + 1])
+                if len(closure) == sizes[j]:
+                    spans[j + 1] = closure
+                    stack.append(iter(candidates[j + 1]))
+                    break
+            else:
+                stack.pop()
+        return None
+
+    # S_{k-1}: every candidate image of the last generator is verified
+    stabiliser: list[tuple[int, ...]] = []
+    span = g.subgroup_closure(gens[:-1])
+    for b in candidates[-1]:
+        if b not in span:
+            assignment[-1] = b
+            if _extend_checked(columns, n, gens, steps, assignment, images):
+                stabiliser.append(tuple(images))
+    if k == 1:
+        return stabiliser
+    assignment[-1] = gens[-1]
+    identity = tuple(range(n))
+    for i in reversed(range(k - 1)):
+        # reps[b] fixes g_0 .. g_{i-1} and sends g_i to b; done holds the
+        # images of g_i already settled, either way
+        reps = {gens[i]: identity}
+        done = g.subgroup_closure(gens[:i])
+        done.add(gens[i])
+        for b in candidates[i]:
+            if b in done:
                 continue
             assignment[i] = b
-            if i == k - 1:
-                if _extend_checked(columns, n, gens, steps, assignment, images):
-                    out.append(tuple(images))
-                continue
-            closure = g.subgroup_closure(assignment[: i + 1])
-            if len(closure) == sizes[i]:
-                spans[i + 1] = closure
-                stack.append(iter(candidates[i + 1]))
-                break
-        else:
-            stack.pop()
+            rep = first_extension(i)
+            then_rep = itemgetter(*rep) if rep else None
+            for s in stabiliser:
+                c = s[b]
+                if c not in done:
+                    done.add(c)
+                    if then_rep:
+                        reps[c] = then_rep(s)  # s . rep sends g_i to c
+        assignment[i] = gens[i]
+        # itemgetter(*s)(a) is the product a . s (n > 1 here, so a tuple)
+        products_with = [itemgetter(*s) for s in stabiliser]
+        if i:
+            stabiliser = [times(rep) for rep in reps.values() for times in products_with]
+    by_images = itemgetter(*gens)
+    out: list[tuple[int, ...]] = []
+    for b in sorted(reps):
+        coset = [times(reps[b]) for times in products_with]
+        coset.sort(key=by_images)
+        out += coset
     return out
 
 

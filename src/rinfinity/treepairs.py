@@ -41,6 +41,37 @@ class Tree:
     def __str__(self) -> str:
         return format_tree(self)
 
+    # Equality and hashing walk the tree with an explicit stack, so that deep
+    # trees do not exhaust the recursion limit; the dataclass keeps these.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.children is None or b.children is None:
+                if a.children is not b.children:
+                    return False
+                continue
+            stack += zip(a.children, b.children)
+        return True
+
+    def __hash__(self) -> int:
+        """Hash of the shape read in preorder, right subtree first: 1 per
+        caret, 0 per leaf, which determines the tree."""
+        shape = bytearray()
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if t.children is None:
+                shape.append(0)
+            else:
+                shape.append(1)
+                stack += t.children
+        return hash(bytes(shape))
+
 
 LEAF = Tree()
 

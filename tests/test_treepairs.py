@@ -14,6 +14,7 @@ from rinfinity.treepairs import (
     caret,
     expansion,
     f_characters,
+    format_tree,
     from_pl,
     inverse,
     leaf_count,
@@ -347,3 +348,23 @@ def test_power_by_squaring_matches_fold():
         d = random_pair(rng)
         for k in (0, 1, 2, 5, 17, -9):
             assert power(d, k) == fold([d if k > 0 else inverse(d)] * abs(k))
+
+
+def test_deep_tree_equality_and_hash_are_iterative():
+    assert power(X0, 300) == power(X0, 300)
+    assert power(X0, 600) != power(X0, 599)
+    assert tp.right_vine(1500) == tp.right_vine(1500)
+    assert tp.right_vine(1500) != tp.right_vine(1499)
+    assert hash(tp.right_vine(1500)) == hash(tp.right_vine(1500))
+
+
+def test_tree_equality_and_hash_are_structural():
+    rng = random.Random(53)
+    trees = [random_tree(rng, rng.randint(1, 9)) for _ in range(300)]
+    for s, t in zip(trees, trees[1:]):
+        same = format_tree(s) == format_tree(t)
+        assert (s == t) is same and (s != t) is not same
+        if same:
+            assert hash(s) == hash(t)
+    assert len(set(trees)) == len({format_tree(t) for t in trees})
+    assert tp.Tree() == LEAF and X0.minus != LEAF
