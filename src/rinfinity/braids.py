@@ -6,13 +6,16 @@ are labeled by their starting positions 1..n; the permutation sends start
 position to end position.
 
 Equality is decided by free reduction plus Dehornoy handle reduction,
-with permutation / exponent-sum / pairwise-crossing-count fast paths.  A
-handle is a factor sigma_i^e v sigma_i^{-e} where v uses neither index i
-nor i-1; removing it rewrites each sigma_{i+1}^d in v as
-sigma_{i+1}^{-e} sigma_i^d sigma_{i+1}^{e}.  A freely reduced word with
-no handle is either empty or sigma-definite in its lowest index, hence
-nontrivial.  Handle reduction terminates, but a generous iteration cap
-guards against implementation bugs: breaching it raises, never lies.
+after a pairwise-crossing-count fast path.  The crossing counts also
+decide the permutation (the parity of a pair's count says whether those
+two strands swapped) and the exponent sum (the sum of the counts), so
+neither needs a screen of its own.  A handle is a factor
+sigma_i^e v sigma_i^{-e} where v uses neither index i nor i-1; removing
+it rewrites each sigma_{i+1}^d in v as sigma_{i+1}^{-e} sigma_i^d
+sigma_{i+1}^{e}.  A freely reduced word with no handle is either empty
+or sigma-definite in its lowest index, hence nontrivial.  Handle
+reduction terminates, but a generous iteration cap guards against
+implementation bugs: breaching it raises, never lies.
 """
 
 from __future__ import annotations
@@ -156,10 +159,6 @@ def braid_equal(b1: BraidWord, b2: BraidWord) -> bool:
         raise ValueError("strand counts differ")
     if b1.letters == b2.letters:
         return True
-    if b1.permutation() != b2.permutation():
-        return False
-    if b1.exponent_sum() != b2.exponent_sum():
-        return False
     if b1.crossing_counts() != b2.crossing_counts():
         return False
     quotient = b1 * b2.inverse()

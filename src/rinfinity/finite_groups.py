@@ -422,30 +422,32 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
 
 def _extend_checked(columns, n, gens, steps, assignment, images) -> bool:
     """Fill images with the extension of gens[i] -> assignment[i] along the
-    word tree; True iff it is a bijective homomorphism.  columns[c][x] is
-    x * c."""
+    word tree; True iff it is an automorphism.  columns[c][x] is x * c."""
     image_columns = [columns[b] for b in assignment]
     for e, parent, i in steps:
         images[e] = image_columns[i][images[parent]]
-    if len(set(images)) != n:
+    return _respects_generators(columns.__getitem__, n, gens, images)
+
+
+def _respects_generators(column, n, gens, images) -> bool:
+    """True iff f(x) = images[x] is a bijection of 0..n-1 with
+    f(x * a) == f(x) * f(a) for every x and every a in gens, where
+    column(c)[x] is x * c.  When gens generates the group, f is then an
+    automorphism: f(x * w) == f(x) * f(w) for every word w in gens, by
+    induction on the length of w."""
+    if sorted(images) != list(range(n)):
         return False
-    # f(x * gen) == f(x) * f(gen) for all x and generators extends to a
-    # homomorphism check on all products, by induction on word length.
     image_of = images.__getitem__
-    for a, column in zip(gens, image_columns):
-        if list(map(image_of, columns[a])) != list(map(column.__getitem__, images)):
-            return False
-    return True
+    return all(
+        list(map(image_of, column(a))) == list(map(column(images[a]).__getitem__, images))
+        for a in gens
+    )
 
 
 def is_automorphism(g: FiniteGroup, phi) -> bool:
-    n = g.order
-    if sorted(phi) != list(range(n)):
-        return False
-    table = g.table
-    return all(
-        phi[table[a * n + b]] == table[phi[a] * n + phi[b]] for a in range(n) for b in range(n)
-    )
+    """True iff phi, the images of 0..n-1, is an automorphism of g."""
+    n, table = g.order, g.table
+    return _respects_generators(lambda c: table[c::n], n, g.generating_sequence, phi)
 
 
 def twisted_classes(g: FiniteGroup, phi) -> tuple[int, list[list[int]]]:

@@ -8,7 +8,10 @@ the cylinder at the finite address s and fix everything else.  Words act
 rightmost letter first.  The variants G, yG, Gy, yGy differ only in the
 ends (0...0, 1...1) at which they have y-letters; `_Y_ENDS` records them,
 and the allowed y-addresses, the domain of each character chi_b / psi_b
-and the pair `quotient_image` uses are all read off it.
+and the pair `quotient_image` uses are all read off it.  The five
+defining relations are read off one table in `relation_suite`, which
+skips an instance for the reason the table gives or for a y-letter the
+variant does not allow.
 
 Each letter is a small sequential transducer, and a word is the pipeline
 of its letters.  A letter's state is an int (the number of address bits
@@ -223,19 +226,14 @@ def evaluate_prefix(word: LMWord, seq: EventuallyPeriodicSeq, k: int) -> Bits:
 
 def x_image_of_address(s: Bits, t: Bits) -> Bits | None:
     """x_s(t) for a finite address t, or None when not well-defined (t must
-    extend s far enough for the case rules to read their bits)."""
+    extend s far enough for a case rule of x to read its bits)."""
     if t[: len(s)] != s:
         return None
     rest = t[len(s) :]
-    if not rest:
-        return None
-    if rest[0] == 1:
-        return s + (1, 1) + rest[1:]
-    if len(rest) < 2:
-        return None
-    if rest[1] == 0:
-        return s + (0,) + rest[2:]
-    return s + (1, 0) + rest[2:]
+    for read, (written, _) in _CASES[1].items():
+        if rest[: len(read)] == read:
+            return s + written + rest[len(read) :]
+    return None
 
 
 # --- depth-bounded equality ---------------------------------------------
@@ -347,95 +345,44 @@ class RelationCheck:
     detail: str = ""
 
 
-def _word(variant: str, *letters: LMLetter) -> LMWord:
-    return LMWord(tuple(letters), variant)
-
-
 def relation_suite(s: Bits, t: Bits, d: int, variant: str = "yGy") -> list[RelationCheck]:
     """Check every instance of the five defining relations attached to the
-    addresses (s, t) that is legal in the given variant, at depth d."""
-    out: list[RelationCheck] = []
-
-    def check(name: str, instance: str, lhs: LMWord, rhs: LMWord) -> None:
-        verdict = equal_up_to_depth(lhs, rhs, d)
-        if verdict.distinct:
-            out.append(RelationCheck(name, instance, "fail", str(verdict.witness)))
-        else:
-            out.append(RelationCheck(name, instance, "pass"))
-
-    def skip(name: str, instance: str, why: str) -> None:
-        out.append(RelationCheck(name, instance, "skipped", why))
-
-    sa = "".join(map(str, s)) or "ø"
-    ta = "".join(map(str, t)) or "ø"
-
-    # square: x_s^2 = x_{s1} x_s x_{s0}
-    check(
-        "square",
-        f"s={sa}",
-        _word(variant, LMLetter("x", s), LMLetter("x", s)),
-        _word(variant, LMLetter("x", s + (1,)), LMLetter("x", s), LMLetter("x", s + (0,))),
-    )
-
-    # x-conjugation: x_s x_t = x_{x_s(t)} x_s
+    addresses (s, t) at depth d.  An instance is skipped when x_s(t) is
+    undefined, when the commuting addresses are comparable, or when a
+    y-letter on either side is not allowed in the variant."""
     image = x_image_of_address(s, t)
-    if image is None:
-        skip("x-conj", f"s={sa},t={ta}", "x_s(t) undefined")
-    else:
-        check(
-            "x-conj",
-            f"s={sa},t={ta}",
-            _word(variant, LMLetter("x", s), LMLetter("x", t)),
-            _word(variant, LMLetter("x", image), LMLetter("x", s)),
-        )
+    undefined = "x_s(t) undefined" if image is None else ""
+    comparable = "addresses comparable" if s[: len(t)] == t or t[: len(s)] == s else ""
+    sa, ta = ("".join(map(str, a)) or "ø" for a in (s, t))
+    at_s, at_st = f"s={sa}", f"s={sa},t={ta}"
 
-    # y-conjugation: x_s y_t = y_{x_s(t)} x_s
-    if image is None:
-        skip("y-conj", f"s={sa},t={ta}", "x_s(t) undefined")
-    elif not (y_address_allowed(t, variant) and y_address_allowed(image, variant)):
-        skip("y-conj", f"s={sa},t={ta}", f"y-address not allowed in {variant}")
-    else:
-        check(
-            "y-conj",
-            f"s={sa},t={ta}",
-            _word(variant, LMLetter("x", s), LMLetter("y", t)),
-            _word(variant, LMLetter("y", image), LMLetter("x", s)),
-        )
+    def x(a: Bits, sign: int = 1):
+        return ("x", a, sign)
 
-    # commuting: y_s y_t = y_t y_s for incomparable s, t
-    comparable = s[: len(t)] == t or t[: len(s)] == s
-    if comparable:
-        skip("commute", f"s={sa},t={ta}", "addresses comparable")
-    elif not (y_address_allowed(s, variant) and y_address_allowed(t, variant)):
-        skip("commute", f"s={sa},t={ta}", f"y-address not allowed in {variant}")
-    else:
-        check(
-            "commute",
-            f"s={sa},t={ta}",
-            _word(variant, LMLetter("y", s), LMLetter("y", t)),
-            _word(variant, LMLetter("y", t), LMLetter("y", s)),
-        )
+    def y(a: Bits, sign: int = 1):
+        return ("y", a, sign)
 
-    # expansion: y_s = y_{s11} y_{s10}^-1 y_{s0} x_s
-    rhs_addrs = (s + (1, 1), s + (1, 0), s + (0,))
-    if not y_address_allowed(s, variant) or not all(
-        y_address_allowed(a, variant) for a in rhs_addrs
-    ):
-        skip("expand", f"s={sa}", f"y-address not allowed in {variant}")
-    else:
-        check(
-            "expand",
-            f"s={sa}",
-            _word(variant, LMLetter("y", s)),
-            _word(
-                variant,
-                LMLetter("y", s + (1, 1)),
-                LMLetter("y", s + (1, 0), -1),
-                LMLetter("y", s + (0,)),
-                LMLetter("x", s),
-            ),
-        )
-
+    # (relation, instance, lhs letters, rhs letters, reason undefined)
+    table = (
+        ("square", at_s, (x(s), x(s)), (x(s + (1,)), x(s), x(s + (0,))), ""),
+        ("x-conj", at_st, (x(s), x(t)), (x(image), x(s)), undefined),
+        ("y-conj", at_st, (x(s), y(t)), (y(image), x(s)), undefined),
+        ("commute", at_st, (y(s), y(t)), (y(t), y(s)), comparable),
+        ("expand", at_s, (y(s),), (y(s + (1, 1)), y(s + (1, 0), -1), y(s + (0,)), x(s)), ""),
+    )
+    out: list[RelationCheck] = []
+    for relation, instance, lhs, rhs, why in table:
+        if not why and not all(y_address_allowed(a, variant) for k, a, _ in lhs + rhs if k == "y"):
+            why = f"y-address not allowed in {variant}"
+        if why:
+            out.append(RelationCheck(relation, instance, "skipped", why))
+            continue
+        w1, w2 = (LMWord(tuple(LMLetter(*l) for l in side), variant) for side in (lhs, rhs))
+        verdict = equal_up_to_depth(w1, w2, d)
+        if verdict.distinct:
+            out.append(RelationCheck(relation, instance, "fail", str(verdict.witness)))
+        else:
+            out.append(RelationCheck(relation, instance, "pass"))
     return out
 
 

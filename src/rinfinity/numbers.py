@@ -360,10 +360,13 @@ def _rational_exponents(q: Fraction, primes: list[int]) -> list[int] | None:
 class SlopeGroup:
     """Finitely generated multiplicative subgroup of the positive reals.
 
-    Generators must be > 0, != 1, and multiplicatively independent (a
-    documented precondition, only sanity-checked).  factor() covers the
-    cases needed here: all-rational generator sets via smooth
-    factorization, and single-generator sets via iterated exact division.
+    Generators must be > 0, != 1, and multiplicatively independent, so
+    that factor() has at most one answer; for two or more rational
+    generators the exponent matrix is checked to have full column rank.
+    factor() covers the cases needed here: all-rational generator sets via
+    smooth factorization, and single-generator sets via iterated exact
+    division.  It refuses mixed quadratic sets of two or more generators,
+    whose independence is not checked.
     """
 
     generators: tuple[ExactNumber, ...]
@@ -374,6 +377,9 @@ class SlopeGroup:
         for g in self.generators:
             if g.sign() <= 0 or g == ONE:
                 raise ValueError(f"generator {g} must be positive and != 1")
+        if self.rank > 1 and all(g.is_rational for g in self.generators):
+            if self._exponent_lattice[1].rank < self.rank:
+                raise ValueError(f"generators of {self} are not multiplicatively independent")
 
     @staticmethod
     def of(*gens) -> SlopeGroup:

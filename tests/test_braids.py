@@ -109,6 +109,21 @@ def test_equal_implies_same_invariants():
             assert b1.crossing_counts() == b2.crossing_counts()
 
 
+def test_crossing_counts_decide_permutation_and_exponent_sum():
+    # braid_equal screens on crossing counts alone, which must fix both
+    rng = random.Random(59)
+    agreeing = 0
+    for _ in range(20000):
+        n = rng.randint(2, 4)
+        b1 = random_word(rng, n, rng.randint(0, 4))
+        b2 = random_word(rng, n, rng.randint(0, 4))
+        if b1.crossing_counts() == b2.crossing_counts():
+            agreeing += 1
+            assert b1.permutation() == b2.permutation()
+            assert b1.exponent_sum() == b2.exponent_sum()
+    assert agreeing > 1000
+
+
 def test_braid_equal_matches_artin_oracle():
     rng = random.Random(53)
     for _ in range(300):

@@ -220,6 +220,47 @@ def test_automorphisms_are_automorphisms():
         assert len(set(autos)) == len(autos)
 
 
+def all_pairs_is_automorphism(g, phi):
+    """Oracle: phi is a bijection and phi(a * b) == phi(a) * phi(b) for all
+    pairs (a, b)."""
+    n = g.order
+    if sorted(phi) != list(range(n)):
+        return False
+    table = g.table
+    return all(
+        phi[table[a * n + b]] == table[phi[a] * n + phi[b]] for a in range(n) for b in range(n)
+    )
+
+
+def test_is_automorphism_matches_all_pairs_oracle():
+    # every automorphism (a sample of 300 on C2^4, which has 20160), each
+    # with two images swapped, and random permutations fixing the identity
+    rng = random.Random(7)
+    verdicts = Counter()
+    for g in small_groups_up_to_16():
+        n = g.order
+        autos = automorphisms(g)
+        if len(autos) > 300:
+            autos = rng.sample(autos, 300)
+        maps = []
+        for phi in autos:
+            maps.append(phi)
+            if n > 2:
+                a, b = rng.sample(range(1, n), 2)
+                swapped = list(phi)
+                swapped[a], swapped[b] = swapped[b], swapped[a]
+                maps.append(tuple(swapped))
+        for _ in range(200):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            maps.append((0, *rest))
+        for phi in maps:
+            verdict = all_pairs_is_automorphism(g, phi)
+            assert is_automorphism(g, phi) == verdict, (g.name, phi)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 8000
+
+
 def test_twisted_classes_trivial_group():
     g = cyclic(1)
     assert twisted_classes(g, (0,))[0] == 1

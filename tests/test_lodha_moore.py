@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rinfinity import lodha_moore
 from rinfinity.lodha_moore import (
     ONES,
     TAILS,
@@ -116,9 +117,13 @@ def test_x_image_of_address():
     assert x_image_of_address((), (0, 1)) == (1, 0)
     assert x_image_of_address((), (0,)) is None
     assert x_image_of_address((), (1,)) == (1, 1)
-    assert x_image_of_address((0,), (0, 0, 1)) == (0, 1, 0, 1)[:3] or True
+    assert x_image_of_address((0,), (0, 0, 1)) == (0, 1, 0)
     assert x_image_of_address((0,), (0, 0, 0)) == (0, 0)
     assert x_image_of_address((1,), (0, 1)) is None
+    # t does not extend s; t == s; the remainder (0,) picks no case
+    assert x_image_of_address((0, 1), (0, 0, 1, 1)) is None
+    assert x_image_of_address((1, 0), (1, 0)) is None
+    assert x_image_of_address((1, 0), (1, 0, 0)) is None
 
 
 def test_conjugation_relation_example():
@@ -209,6 +214,46 @@ def test_characters_vanish_on_relators():
                     diff = lhs * rhs.inverse()
                     for name, value in characters(diff).items():
                         assert value == 0, (variant, rel, s, t, name)
+
+
+def test_relation_suite_checks_exactly_the_relator_words(monkeypatch):
+    # relation_suite compares exactly the words _relator_words lists, in its
+    # order, and skips every other relation
+    compared = []
+
+    def recording(lhs, rhs, d):
+        compared.append((lhs, rhs))
+        return equal_up_to_depth(lhs, rhs, d)
+
+    monkeypatch.setattr(lodha_moore, "equal_up_to_depth", recording)
+    for variant in VARIANTS:
+        for s in all_addresses(2):
+            for t in all_addresses(2):
+                compared.clear()
+                checks = relation_suite(s, t, 4, variant)
+                expected = _relator_words(s, t, variant)
+                assert compared == [(lhs, rhs) for _, lhs, rhs in expected]
+                checked = [c for c in checks if c.status != "skipped"]
+                assert [c.relation for c in checked] == [rel for rel, _, _ in expected]
+                assert all(c.status == "pass" for c in checked)
+                assert len(checks) == 5
+
+
+def test_relation_suite_skip_reasons():
+    def reasons(s, t, variant):
+        checks = relation_suite(s, t, 4, variant)
+        return {c.relation: c.detail for c in checks if c.status == "skipped"}
+
+    assert reasons((0,), (0,), "yGy") == {
+        "x-conj": "x_s(t) undefined",
+        "y-conj": "x_s(t) undefined",
+        "commute": "addresses comparable",
+    }
+    assert reasons((0,), (0, 1), "yGy") == {"commute": "addresses comparable"}
+    assert reasons((), (0, 1), "G") == {
+        "commute": "addresses comparable",
+        "expand": "y-address not allowed in G",
+    }
 
 
 def _relator_words(s, t, variant):

@@ -189,6 +189,18 @@ def test_slope_factor_on_one_group():
             p46.factor(ExactNumber.rational(q))
 
 
+def test_dependent_rational_generators_are_refused():
+    # 4 = 2^2 and 6 = 2 * 3: such a group would factor 8 or 6 in many ways
+    for make in (
+        lambda: SlopeGroup.of(2, 4),
+        lambda: SlopeGroup.of(6, 2, 3),
+        lambda: parse_slope_group("<2,4>"),
+    ):
+        with pytest.raises(ValueError, match="independent"):
+            make()
+    assert SlopeGroup.of(2, 3).rank == SlopeGroup.of(4, 6).rank == 2
+
+
 def test_literal_roundtrip():
     rng = random.Random(5)
     for _ in range(500):
