@@ -22,7 +22,6 @@ from .treepairs import (
     add_caret,
     collapse_caret,
     format_tree,
-    leaf_count,
     left_depth,
     parse_tree,
     right_depth,
@@ -38,8 +37,8 @@ class BraidedDiagram:
     plus: Tree
 
     def __post_init__(self) -> None:
-        n = leaf_count(self.minus)
-        if leaf_count(self.plus) != n or self.braid.n != n:
+        n = self.minus.leaves
+        if self.plus.leaves != n or self.braid.n != n:
             raise ValueError("leaf counts and strand count must agree")
 
     @property
@@ -59,7 +58,7 @@ IDENTITY = BraidedDiagram(LEAF, BraidWord(1), LEAF)
 
 def from_treepair(d: TreePair) -> BraidedDiagram:
     """Embed an element of F as a trivial-braid diagram."""
-    return BraidedDiagram(d.minus, BraidWord.identity(leaf_count(d.minus)), d.plus)
+    return BraidedDiagram(d.minus, BraidWord.identity(d.minus.leaves), d.plus)
 
 
 def expansion(d: BraidedDiagram, leaf: int) -> BraidedDiagram:
@@ -170,5 +169,5 @@ def parse_diagram(text: str) -> BraidedDiagram:
         raise ParseError("diagram must look like minus | braid | plus", text, 0)
     minus = parse_tree(parts[0].strip())
     plus = parse_tree(parts[2].strip())
-    braid = parse_braid(parts[1], leaf_count(minus))
+    braid = parse_braid(parts[1], minus.leaves)
     return BraidedDiagram(minus, braid, plus)

@@ -5,7 +5,9 @@ automorphisms.
 Every lattice question reads one Smith decomposition U*M*V = S:
 solutions, kernels, inverses, invariant factors, membership and
 canonical forms.  An abelian group Z^n/R computes the decomposition of
-its relators once and keeps it.
+its relators once and keeps it, and an automorphism AbelianAuto with
+matrix M keeps one decomposition of [M - I | R], from which both its
+Reidemeister number R(phi) and its fixed subgroup Fix(phi) are read.
 
 Everything uses Python big integers; matrices are immutable row tuples.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from math import inf, prod
 
 
 @dataclass(frozen=True)
@@ -114,13 +116,18 @@ class SmithDecomposition:
     s: IntMatrix
     v: IntMatrix
 
-    @property
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.s.rows[i][i] for i in range(min(self.s.nrows, self.s.ncols)))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+    def kernel(self) -> list[tuple[int, ...]]:
+        """Basis of the integer kernel {x : M x = 0}: the columns of V
+        beyond the rank."""
+        return [self.v.column(j) for j in range(self.rank, self.v.nrows)]
 
     def solve(self, b) -> tuple[int, ...] | None:
         """One integer solution x of M x = b, or None if none exists."""
@@ -140,81 +147,70 @@ class SmithDecomposition:
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations."""
     n, c = m.nrows, m.ncols
-    s = [list(r) for r in m.rows]
+    s = [[int(x) for x in r] for r in m.rows]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        s[dst] = [a + q * b for a, b in zip(s[dst], s[src])]
-        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in s:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        s[i] = [-a for a in s[i]]
-        u[i] = [-a for a in u[i]]
-
     t = 0
     while t < min(n, c):
         # Re-pick the smallest nonzero entry of the trailing block as pivot
-        # on every pass; this keeps coefficient growth under control.
-        pivot = None
+        # (the first one in row-major order) on every pass; this keeps
+        # coefficient growth under control.
+        pi = pj = -1
+        best = 0
         for i in range(t, n):
+            row = s[i]
             for j in range(t, c):
-                if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+                a = abs(row[j])
+                if a and (pi < 0 or a < best):
+                    pi, pj, best = i, j, a
+        if pi < 0:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if s[t][t] < 0:
-            negate_row(t)
-        p = s[t][t]
+        s[t], s[pi] = s[pi], s[t]
+        u[t], u[pi] = u[pi], u[t]
+        for row in s:
+            row[t], row[pj] = row[pj], row[t]
+        for row in v:
+            row[t], row[pj] = row[pj], row[t]
+        st, ut = s[t], u[t]
+        if st[t] < 0:
+            s[t] = st = [-a for a in st]
+            u[t] = ut = [-a for a in ut]
+        p = st[t]
+        half = p >> 1
         # One nearest-integer reduction pass over column t and row t; any
         # nonzero residue is strictly smaller than p, so looping back to
         # the pivot re-pick makes progress.
         residue = False
         for i in range(t + 1, n):
             if s[i][t] != 0:
-                q = (s[i][t] + (p >> 1)) // p
+                q = (s[i][t] + half) // p
                 if q:
-                    add_row(i, t, -q)
+                    s[i] = [a - q * b for a, b in zip(s[i], st)]
+                    u[i] = [a - q * b for a, b in zip(u[i], ut)]
                 if s[i][t] != 0:
                     residue = True
         for j in range(t + 1, c):
-            if s[t][j] != 0:
-                q = (s[t][j] + (p >> 1)) // p
+            if st[j] != 0:
+                q = (st[j] + half) // p
                 if q:
-                    add_col(j, t, -q)
-                if s[t][j] != 0:
+                    for row in s:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
+                if st[j] != 0:
                     residue = True
         if residue:
             continue
-        # Row and column t are clear; enforce divisibility of the rest.
-        culprit = None
+        # Row and column t are clear; enforce divisibility of the rest by
+        # adding the first row that breaks it to row t.
         for i in range(t + 1, n):
             if any(s[i][j] % p != 0 for j in range(t + 1, c)):
-                culprit = i
+                s[t] = [a + b for a, b in zip(st, s[i])]
+                u[t] = [a + b for a, b in zip(ut, u[i])]
                 break
-        if culprit is not None:
-            add_row(t, culprit, 1)
-            continue
-        t += 1
-    return SmithDecomposition(IntMatrix.of(u), IntMatrix.of(s), IntMatrix.of(v))
+        else:
+            t += 1
+    return SmithDecomposition(*(IntMatrix(tuple(map(tuple, a))) for a in (u, s, v)))
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -230,16 +226,9 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     return snf.v * snf.u
 
 
-def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
-    """One integer solution x of M x = b, or None if none exists."""
-    return smith_normal_form(m).solve(b)
-
-
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel {x : M x = 0}."""
-    snf = smith_normal_form(m)
-    r = snf.rank
-    return [snf.v.column(j) for j in range(r, m.ncols)]
+    return smith_normal_form(m).kernel()
 
 
 @dataclass(frozen=True)
@@ -357,10 +346,19 @@ class AbelianAuto:
             raise ValueError("matrix is not invertible on the quotient")
 
     def _is_surjective(self) -> bool:
-        # Surjective iff im(M) + span(relators) = Z^n; f.g. abelian groups
-        # are Hopfian, so surjective implies bijective.
+        # Surjective iff im(M) + span(relators) = Z^n, that is iff [M | R]
+        # has rank n and unit invariant factors; f.g. abelian groups are
+        # Hopfian, so surjective implies bijective.
         cols = self.matrix.columns() + self.group.relators.columns()
-        return FGAbelianGroup.from_relator_columns(self.group.n, cols).structure().is_trivial
+        snf = smith_normal_form(IntMatrix.from_columns(cols))
+        return snf.rank == self.group.n and all(d == 1 for d in snf.diagonal)
+
+    @cached_property
+    def twisted_decomposition(self) -> SmithDecomposition:
+        """Smith decomposition of [M - I | R], whose columns span
+        im(M - I) + span(relators); R(phi) and Fix(phi) both read it."""
+        cols = (self.matrix - IntMatrix.identity(self.group.n)).columns()
+        return smith_normal_form(IntMatrix.from_columns(cols + self.group.relators.columns()))
 
 
 @dataclass(frozen=True)
@@ -380,11 +378,10 @@ class FixedSubgroup:
 def fix_subgroup(auto: AbelianAuto) -> FixedSubgroup:
     """Kernel of (M - I) on the quotient: {x : (M - I)x in span(relators)}."""
     n = auto.group.n
-    mi = auto.matrix - IntMatrix.identity(n)
     rel_cols = auto.group.relators.columns()
     # The projections of ker[M - I | R] span the fixed lattice, which
     # contains span(R) because M stabilizes it.
-    gens = [k[:n] for k in kernel_basis(IntMatrix.from_columns(mi.columns() + rel_cols))]
+    gens = [k[:n] for k in auto.twisted_decomposition.kernel()]
     structure = lattice_quotient(gens, rel_cols, n)
     return FixedSubgroup(
         structure, tuple(g for g in gens if not auto.group.contains_in_relator_span(g))
@@ -392,10 +389,9 @@ def fix_subgroup(auto: AbelianAuto) -> FixedSubgroup:
 
 
 def reidemeister_number_abelian(auto: AbelianAuto) -> int | float:
-    """Number of twisted conjugacy classes of the automorphism: the order
-    of the quotient by the image of (M - I).  Infinite iff that image
-    drops free rank, which happens iff the fixed subgroup is infinite."""
-    n = auto.group.n
-    mi = auto.matrix - IntMatrix.identity(n)
-    cols = mi.columns() + auto.group.relators.columns()
-    return FGAbelianGroup.from_relator_columns(n, cols).structure().order
+    """Number of twisted conjugacy classes of phi on G = Z^n / R: the order
+    of G / (phi - 1)G = Z^n / (im(M - I) + span R), the product of the
+    invariant factors of [M - I | R].  Infinite iff that matrix has rank
+    below n, which happens iff Fix(phi) is infinite."""
+    snf = auto.twisted_decomposition
+    return prod(snf.diagonal) if snf.rank == auto.group.n else inf

@@ -1,7 +1,6 @@
 """Fixed-point and twisted-conjugacy machinery built on integer matrices:
 the character-invariance pipeline that certifies infinite fixed sets in
-abelianizations, exact character independence, and the eigenvalue-1 test
-for 2x2 unimodular matrices.
+abelianizations, and exact character independence.
 
 The heavy lifting on abelian groups (Smith normal form, fixed subgroups,
 twisted class counts) lives in intlinalg; the brute-force finite oracle
@@ -34,7 +33,6 @@ __all__ = [
     "CharacterData",
     "PipelineResult",
     "character_independence",
-    "eigenvalue_one_check",
     "fix_subgroup",
     "fixed_vector_certificate",
     "normalize_ray",
@@ -139,13 +137,3 @@ def character_independence(chars: CharacterData) -> tuple[int, bool]:
         raise ValueError("need a square value matrix")
     d = m.det()
     return d, d != 0
-
-
-def eigenvalue_one_check(m: IntMatrix) -> bool:
-    """Whether a 2x2 integer matrix with determinant +-1 has eigenvalue 1,
-    i.e. det(M - I) = 0."""
-    if m.nrows != 2 or m.ncols != 2:
-        raise ValueError("matrix must be 2x2")
-    if m.det() not in (1, -1):
-        raise ValueError("matrix must be unimodular")
-    return (m - IntMatrix.identity(2)).det() == 0

@@ -10,7 +10,7 @@ right) matches composition of maps, left factor applied last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -20,9 +20,17 @@ from .plmaps import PLGroupSpec, PLMap, is_member
 
 @dataclass(frozen=True)
 class Tree:
-    """A leaf (children is None) or a caret with two subtrees."""
+    """A leaf (children is None) or a caret with two subtrees.  `leaves`
+    is the leaf count, set from the children on construction."""
 
     children: tuple[Tree, Tree] | None = None
+    leaves: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        children = self.children
+        object.__setattr__(
+            self, "leaves", 1 if children is None else children[0].leaves + children[1].leaves
+        )
 
     @property
     def is_leaf(self) -> bool:
@@ -81,6 +89,7 @@ def caret(left: Tree, right: Tree) -> Tree:
 
 
 def leaf_count(t: Tree) -> int:
+    """Leaf count by recursion; `Tree.leaves` holds the same number."""
     children = t.children
     if children is None:
         return 1
@@ -207,7 +216,7 @@ def _growth(current: Tree, goal: Tree) -> list[tuple[int, Tree]]:
             if gl.children is not None:
                 out.append((offset, gl))
         elif gl.children is None:
-            offset += leaf_count(cur)
+            offset += cur.leaves
         else:
             stack += ((cur.children[1], gl.children[1]), (cur.children[0], gl.children[0]))
     return out
@@ -216,47 +225,60 @@ def _growth(current: Tree, goal: Tree) -> list[tuple[int, Tree]]:
 def leaf_intervals(t: Tree) -> list[tuple[Fraction, Fraction]]:
     """Standard dyadic intervals of the leaves, left to right."""
     out: list[tuple[Fraction, Fraction]] = []
-
-    def go(node: Tree, lo: Fraction, hi: Fraction) -> None:
-        if node.is_leaf:
+    stack = [(t, Fraction(0), Fraction(1))]
+    while stack:
+        node, lo, hi = stack.pop()
+        children = node.children
+        if children is None:
             out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        go(node.left, lo, mid)
-        go(node.right, mid, hi)
-
-    go(t, Fraction(0), Fraction(1))
+        else:
+            mid = (lo + hi) / 2
+            stack += ((children[1], mid, hi), (children[0], lo, mid))
     return out
 
 
 def format_tree(t: Tree) -> str:
-    if t.is_leaf:
-        return "."
-    return f"({format_tree(t.left)}{format_tree(t.right)})"
+    """"." for a leaf, "(LR)" for a caret, written in one preorder walk."""
+    out: list[str] = []
+    stack: list[Tree | None] = [t]  # None closes a caret
+    while stack:
+        node = stack.pop()
+        if node is None:
+            out.append(")")
+        elif node.children is None:
+            out.append(".")
+        else:
+            out.append("(")
+            stack += (None, node.children[1], node.children[0])
+    return "".join(out)
 
 
 def parse_tree(text: str) -> Tree:
+    """Inverse of format_tree; the grammar is T := "." | "(" T T ")"."""
+    # One entry per open caret: None until its left subtree is read.
+    stack: list[Tree | None] = []
     pos = 0
-
-    def parse() -> Tree:
-        nonlocal pos
+    while True:
         if pos >= len(text):
             raise ParseError("unexpected end of tree literal", text, pos)
         ch = text[pos]
-        if ch == ".":
-            pos += 1
-            return LEAF
         if ch == "(":
             pos += 1
-            left = parse()
-            right = parse()
+            stack.append(None)
+            continue
+        if ch != ".":
+            raise ParseError(f"unexpected character {ch!r} in tree literal", text, pos)
+        pos += 1
+        t = LEAF
+        # A finished subtree closes every caret whose left subtree is read.
+        while stack and stack[-1] is not None:
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError("expected ')'", text, pos)
             pos += 1
-            return caret(left, right)
-        raise ParseError(f"unexpected character {ch!r} in tree literal", text, pos)
-
-    t = parse()
+            t = caret(stack.pop(), t)
+        if not stack:
+            break
+        stack[-1] = t
     if pos != len(text.strip()) and text[pos:].strip():
         raise ParseError("trailing characters after tree literal", text, pos)
     return t
@@ -268,12 +290,12 @@ class TreePair:
     plus: Tree
 
     def __post_init__(self) -> None:
-        if leaf_count(self.minus) != leaf_count(self.plus):
+        if self.minus.leaves != self.plus.leaves:
             raise ValueError("trees must have equal leaf counts")
 
     @property
     def n_leaves(self) -> int:
-        return leaf_count(self.minus)
+        return self.minus.leaves
 
     def __str__(self) -> str:
         return f"{format_tree(self.minus)}|{format_tree(self.plus)}"

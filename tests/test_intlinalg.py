@@ -3,18 +3,125 @@ from math import inf
 
 import pytest
 
+from rinfinity import intlinalg
 from rinfinity.intlinalg import (
     AbelianAuto,
     FGAbelianGroup,
+    FixedSubgroup,
     IntMatrix,
+    SmithDecomposition,
     fix_subgroup,
     inverse_unimodular,
     kernel_basis,
     lattice_quotient,
     reidemeister_number_abelian,
     smith_normal_form,
-    solve_integer,
 )
+
+
+def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
+    """One integer solution x of M x = b, or None if none exists."""
+    return smith_normal_form(m).solve(b)
+
+
+# The Smith normal form as first written, with one closure per row or
+# column operation.  Kept as the reference: the library's loop must make
+# the same operations in the same order and return the same U, S and V.
+
+
+def ref_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    n, c = m.nrows, m.ncols
+    s = [list(r) for r in m.rows]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        s[dst] = [a + q * b for a, b in zip(s[dst], s[src])]
+        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        for row in s:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        s[i] = [-a for a in s[i]]
+        u[i] = [-a for a in u[i]]
+
+    t = 0
+    while t < min(n, c):
+        pivot = None
+        for i in range(t, n):
+            for j in range(t, c):
+                if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        if s[t][t] < 0:
+            negate_row(t)
+        p = s[t][t]
+        residue = False
+        for i in range(t + 1, n):
+            if s[i][t] != 0:
+                q = (s[i][t] + (p >> 1)) // p
+                if q:
+                    add_row(i, t, -q)
+                if s[i][t] != 0:
+                    residue = True
+        for j in range(t + 1, c):
+            if s[t][j] != 0:
+                q = (s[t][j] + (p >> 1)) // p
+                if q:
+                    add_col(j, t, -q)
+                if s[t][j] != 0:
+                    residue = True
+        if residue:
+            continue
+        culprit = None
+        for i in range(t + 1, n):
+            if any(s[i][j] % p != 0 for j in range(t + 1, c)):
+                culprit = i
+                break
+        if culprit is not None:
+            add_row(t, culprit, 1)
+            continue
+        t += 1
+    return SmithDecomposition(IntMatrix.of(u), IntMatrix.of(s), IntMatrix.of(v))
+
+
+# R(phi) and Fix(phi) as first written: each builds [M - I | R] and
+# decomposes it on its own, through a throwaway group or kernel_basis.
+
+
+def ref_reidemeister_number_abelian(auto: AbelianAuto) -> int | float:
+    n = auto.group.n
+    mi = auto.matrix - IntMatrix.identity(n)
+    cols = mi.columns() + auto.group.relators.columns()
+    return FGAbelianGroup.from_relator_columns(n, cols).structure().order
+
+
+def ref_fix_subgroup(auto: AbelianAuto) -> FixedSubgroup:
+    n = auto.group.n
+    mi = auto.matrix - IntMatrix.identity(n)
+    rel_cols = auto.group.relators.columns()
+    gens = [k[:n] for k in kernel_basis(IntMatrix.from_columns(mi.columns() + rel_cols))]
+    structure = lattice_quotient(gens, rel_cols, n)
+    return FixedSubgroup(
+        structure, tuple(g for g in gens if not auto.group.contains_in_relator_span(g))
+    )
 
 
 def random_matrix(rng, n, m, lo=-9, hi=9):
@@ -57,6 +164,23 @@ def test_snf_random_certified():
                 if i != j:
                     assert snf.s.rows[i][j] == 0
         assert all(x >= 0 for x in d)
+
+
+def test_snf_matches_reference_entry_for_entry():
+    rng = random.Random(31)
+    mats = [IntMatrix(((0,) * m,) * n) for n in range(1, 5) for m in range(1, 5)]
+    mats += [IntMatrix(((),) * n) for n in range(4)]  # 0 columns, and the empty matrix
+    for _ in range(2400):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        mats.append(
+            IntMatrix.of(
+                [[0 if rng.random() < 0.2 else rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+            )
+        )
+    for mat in mats:
+        ours, ref = smith_normal_form(mat), ref_smith_normal_form(mat)
+        assert (ours.u, ours.s, ours.v) == (ref.u, ref.s, ref.v), mat
+        assert ours.rank == ref.rank and ours.diagonal == ref.diagonal
 
 
 def test_inverse_unimodular():
@@ -180,6 +304,9 @@ def test_fix_generators_are_fixed_and_nonzero():
         auto = random_abelian_auto(rng)
         grp, m = auto.group, auto.matrix
         fixed = fix_subgroup(auto)
+        ref = ref_fix_subgroup(auto)
+        assert (fixed.structure, fixed.generators) == (ref.structure, ref.generators)
+        assert reidemeister_number_abelian(auto) == ref_reidemeister_number_abelian(auto)
         for g in fixed.generators:
             moved = tuple(a - b for a, b in zip(m.apply(g), g))
             assert grp.contains_in_relator_span(moved)
@@ -187,6 +314,23 @@ def test_fix_generators_are_fixed_and_nonzero():
         # and they generate the whole fixed subgroup
         rels = grp.relators.columns()
         assert lattice_quotient(list(fixed.generators) + rels, rels, grp.n) == fixed.structure
+
+
+def test_one_twisted_decomposition_per_automorphism(monkeypatch):
+    # With the group's own decomposition already made: surjectivity, then
+    # [M - I | R] once for both R and Fix, then the two decompositions of
+    # lattice_quotient, 4 in all.
+    grp = FGAbelianGroup.from_relator_columns(3, [(2, 0, 0)])
+    assert grp.structure().torsion == (2,)
+    calls = []
+    snf = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda m: calls.append(m) or snf(m))
+    auto = AbelianAuto(grp, IntMatrix.of([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]))
+    assert reidemeister_number_abelian(auto) == 8
+    assert fix_subgroup(auto).order == 2
+    assert len(calls) == 4
+    assert reidemeister_number_abelian(auto) == 8
+    assert len(calls) == 4
 
 
 def test_group_rejects_relators_of_wrong_height():

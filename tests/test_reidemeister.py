@@ -8,12 +8,21 @@ from rinfinity.intlinalg import AbelianAuto, FGAbelianGroup, IntMatrix
 from rinfinity.reidemeister import (
     CharacterData,
     character_independence,
-    eigenvalue_one_check,
     fixed_vector_certificate,
     normalize_ray,
     reidemeister_number_abelian,
     swap_matrix,
 )
+
+
+def eigenvalue_one_check(m: IntMatrix) -> bool:
+    """Whether a 2x2 integer matrix with determinant +-1 has eigenvalue 1,
+    i.e. det(M - I) = 0."""
+    if m.nrows != 2 or m.ncols != 2:
+        raise ValueError("matrix must be 2x2")
+    if m.det() not in (1, -1):
+        raise ValueError("matrix must be unimodular")
+    return (m - IntMatrix.identity(2)).det() == 0
 
 
 def random_unimodular2(rng):

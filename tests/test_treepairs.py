@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rinfinity.numbers import ExactNumber
+from rinfinity.numbers import ExactNumber, ParseError
 from rinfinity.plmaps import PLMap, compose
 from rinfinity import treepairs as tp
 from rinfinity.treepairs import (
@@ -18,6 +18,7 @@ from rinfinity.treepairs import (
     from_pl,
     inverse,
     leaf_count,
+    leaf_intervals,
     multiply,
     parse_tree,
     parse_treepair,
@@ -130,9 +131,9 @@ def test_to_pl_from_pl_roundtrip():
 
 
 def test_from_pl_roundtrip_on_a_long_power():
-    # PL equality, because tree equality recurses on a 600-deep vine.
     f = to_pl(power(X0, 600))
     assert to_pl(from_pl(f)) == f
+    assert from_pl(f) == power(X0, 600)
 
 
 def test_from_pl_rejects_non_members():
@@ -368,3 +369,91 @@ def test_tree_equality_and_hash_are_structural():
             assert hash(s) == hash(t)
     assert len(set(trees)) == len({format_tree(t) for t in trees})
     assert tp.Tree() == LEAF and X0.minus != LEAF
+
+
+def test_leaf_field_matches_recursive_count():
+    rng = random.Random(59)
+    for _ in range(300):
+        t = random_tree(rng, rng.randint(1, 40))
+        assert t.leaves == leaf_count(t)
+    assert tp.right_vine(700).leaves == 700
+
+
+def test_long_power_has_no_recursion_limit():
+    d = power(X0, 10_000)
+    assert d.n_leaves == 10_002
+    assert f_characters(d) == (-10_000, 10_000)
+
+
+def deep_pair(n):
+    """A reduced pair of n-leaf trees, each a right vine down to its last
+    three leaves: ((..).) at the bottom of minus, (.(..)) of plus."""
+    minus = caret(tp.CARET, LEAF)
+    for _ in range(n - 3):
+        minus = caret(LEAF, minus)
+    return TreePair(minus, tp.right_vine(n))
+
+
+def test_deep_trees_format_parse_and_realize_without_recursion():
+    d = deep_pair(5000)
+    assert reduce(d) == d
+    assert parse_tree(format_tree(d.plus)) == d.plus
+    assert parse_treepair(str(d)) == d
+    assert len(leaf_intervals(d.plus)) == 5000
+    assert from_pl(to_pl(d)) == d
+
+
+# The tree parser as first written, by recursion; kept as the reference
+# for the iterative parser's trees and errors.
+
+
+def ref_parse_tree(text):
+    pos = 0
+
+    def parse():
+        nonlocal pos
+        if pos >= len(text):
+            raise ParseError("unexpected end of tree literal", text, pos)
+        ch = text[pos]
+        if ch == ".":
+            pos += 1
+            return LEAF
+        if ch == "(":
+            pos += 1
+            left = parse()
+            right = parse()
+            if pos >= len(text) or text[pos] != ")":
+                raise ParseError("expected ')'", text, pos)
+            pos += 1
+            return caret(left, right)
+        raise ParseError(f"unexpected character {ch!r} in tree literal", text, pos)
+
+    t = parse()
+    if pos != len(text.strip()) and text[pos:].strip():
+        raise ParseError("trailing characters after tree literal", text, pos)
+    return t
+
+
+def test_parse_tree_matches_reference_on_good_and_bad_literals():
+    def outcome(parse, text):
+        try:
+            return format_tree(parse(text))
+        except ParseError as exc:
+            return str(exc), exc.pos
+
+    rng = random.Random(61)
+    texts = ["", " ", ".", "..", "(.", "(..", "(..) ", "(...)", ")"]
+    for _ in range(600):
+        chars = list(format_tree(random_tree(rng, rng.randint(1, 8))))
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0 and i < len(chars):
+                del chars[i]
+            elif op == 1:
+                chars.insert(i, rng.choice("().x "))
+            elif i < len(chars):
+                chars[i] = rng.choice("().x ")
+        texts.append("".join(chars))
+    for text in texts:
+        assert outcome(parse_tree, text) == outcome(ref_parse_tree, text), text
