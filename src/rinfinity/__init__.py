@@ -9,7 +9,8 @@ Modules:
 - treepairs: Thompson's group F as reduced tree pairs, with a PL
   realization.
 - braids: braid words, decided by free and handle reduction.
-- braided: braided paired tree diagrams and their tree-depth characters.
+- braided: braided paired tree diagrams and the braided Thompson groups
+  they form.
 - lodha_moore: the four Lodha-Moore groups as transducer words, with
   depth-bounded equality and characters.
 - intlinalg: Smith normal form, lattice quotients, and finitely generated

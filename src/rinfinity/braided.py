@@ -1,6 +1,7 @@
 """Braided paired tree diagrams (T_minus, braid, T_plus) up to
-expansion/reduction, the braided Thompson groups they form, and the two
-tree-depth characters on the pure-braid subgroup.
+expansion/reduction, and the braided Thompson groups they form.  An
+expansion grafts a subtree at both ends of one strand and cables that
+strand; the tree-depth characters are `treepairs.f_characters`.
 
 Conventions: the minus tree is drawn on top with leaves 1..n left to
 right, strands run top to bottom, strand s joins leaf s of the minus tree
@@ -15,16 +16,17 @@ from dataclasses import dataclass
 from .braids import BraidWord, braid_equal, cable, delete_strand, format_braid, parse_braid
 from .numbers import ParseError
 from .treepairs import (
+    CARET,
     LEAF,
+    X0,
+    X1,
     Tree,
     TreePair,
+    _graft,
     _growth,
-    add_caret,
     collapse_caret,
     format_tree,
-    left_depth,
     parse_tree,
-    right_depth,
     right_vine,
     sibling_leaf_pairs,
 )
@@ -61,16 +63,16 @@ def from_treepair(d: TreePair) -> BraidedDiagram:
     return BraidedDiagram(d.minus, BraidWord.identity(d.minus.leaves), d.plus)
 
 
-def expansion(d: BraidedDiagram, leaf: int) -> BraidedDiagram:
-    """Add a caret at minus-leaf `leaf` and at the plus leaf its strand
-    reaches, doubling that strand into a parallel pair."""
+def expansion(d: BraidedDiagram, leaf: int, subtree: Tree = CARET) -> BraidedDiagram:
+    """Graft `subtree` at minus-leaf `leaf` and at the plus leaf its strand
+    reaches, cabling that strand into `subtree.leaves` parallel strands."""
     if not 1 <= leaf <= d.n_strands:
         raise ValueError(f"leaf {leaf} out of range")
     partner = d.braid.permutation()[leaf - 1]
     return BraidedDiagram(
-        add_caret(d.minus, leaf),
-        cable(d.braid, leaf),
-        add_caret(d.plus, partner),
+        _graft(d.minus, leaf, subtree),
+        cable(d.braid, leaf, subtree.leaves),
+        _graft(d.plus, partner, subtree),
     )
 
 
@@ -80,12 +82,13 @@ def inverse(d: BraidedDiagram) -> BraidedDiagram:
 
 def multiply(d1: BraidedDiagram, d2: BraidedDiagram) -> BraidedDiagram:
     """Glue plus(d1) to minus(d2) after expanding both to their common
-    refinement, one caret at a time (each expansion cables one strand);
-    the braids concatenate."""
-    while growth := _growth(d1.plus, d2.minus):
-        d1 = expansion(d1, d1.braid.permutation().index(growth[0][0]) + 1)
-    while growth := _growth(d2.minus, d1.plus):
-        d2 = expansion(d2, growth[0][0])
+    refinement as `treepairs.multiply` does, a site on plus(d1) at the minus
+    leaf whose strand reaches it; the braids concatenate."""
+    grow1, grow2 = _growth(d1.plus, d2.minus), _growth(d2.minus, d1.plus)
+    for leaf, subtree in reversed(grow1):
+        d1 = expansion(d1, d1.braid.permutation().index(leaf) + 1, subtree)
+    for leaf, subtree in reversed(grow2):
+        d2 = expansion(d2, leaf, subtree)
     return BraidedDiagram(d1.minus, d1.braid * d2.braid, d2.plus)
 
 
@@ -125,15 +128,6 @@ def equal(d1: BraidedDiagram, d2: BraidedDiagram) -> bool:
     return is_identity(multiply(inverse(d1), d2))
 
 
-def phi_characters(d: BraidedDiagram) -> tuple[int, int]:
-    """(left, right) root-to-extreme-leaf depth differences; homomorphisms
-    on the pure-braid subgroup, invariant under expansion there."""
-    return (
-        left_depth(d.plus) - left_depth(d.minus),
-        right_depth(d.plus) - right_depth(d.minus),
-    )
-
-
 def wrap_generator(i: int, j: int, n: int) -> BraidWord:
     """The pure braid A_ij wrapping strand i around strand j (i < j <= n):
     (sigma_{j-1} ... sigma_{i+1}) sigma_i^2 (sigma_{i+1}^-1 ... sigma_{j-1}^-1)."""
@@ -149,8 +143,6 @@ def standard_generators() -> dict[str, BraidedDiagram]:
     tree-pair generators of F with trivial braids, and the wrap diagrams
     alpha_ij = (R_{j+1}, A_ij, R_{j+1}), beta_ij = (R_j, A_ij, R_j) on
     right vines."""
-    from .treepairs import X0, X1
-
     gens: dict[str, BraidedDiagram] = {
         "x0": from_treepair(X0),
         "x1": from_treepair(X1),

@@ -182,19 +182,21 @@ def _follow(p: int, i: int) -> int:
     return i + 1 if p == i else i if p == i + 1 else p
 
 
-def cable(b: BraidWord, strand: int) -> BraidWord:
-    """Double the strand with the given start position into two parallel
-    strands, rewriting each crossing as a block crossing."""
+def cable(b: BraidWord, strand: int, width: int = 2) -> BraidWord:
+    """Replace the strand with the given start position by `width` parallel
+    strands, 2 by default, rewriting each crossing as a block crossing."""
+    if width < 1:
+        raise ValueError(f"cable width {width} is below 1")
     if not 1 <= strand <= b.n:
         raise ValueError(f"strand {strand} out of range")
-    p = strand  # current position of the doubled strand
+    p = strand  # current position of the cabled strand
     out: list[int] = []
     for l in b.letters:
         i = abs(l)
-        u, v = (2 if p == i else 1), (2 if p == i + 1 else 1)
-        out.extend(_block_cross(i + 1 if p < i else i, u, v, 1 if l > 0 else -1))
+        u, v = (width if p == i else 1), (width if p == i + 1 else 1)
+        out.extend(_block_cross(i + width - 1 if p < i else i, u, v, 1 if l > 0 else -1))
         p = _follow(p, i)
-    return BraidWord(b.n + 1, tuple(out))
+    return BraidWord(b.n + width - 1, tuple(out))
 
 
 def delete_strand(b: BraidWord, strand: int) -> BraidWord:

@@ -343,17 +343,30 @@ def _rational_exponents(q: Fraction, primes: list[int]) -> list[int] | None:
     out = []
     num, den = q.numerator, q.denominator
     for p in primes:
-        e = 0
-        while num % p == 0:
-            num //= p
-            e += 1
-        while den % p == 0:
-            den //= p
-            e -= 1
-        out.append(e)
+        num, e_num = _strip(num, p)
+        den, e_den = _strip(den, p)
+        out.append(e_num - e_den)
     if num != 1 or den != 1:
         return None
     return out
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p^e, e) for the largest e with p^e dividing n.  Dividing by p,
+    p^2, p^4, ... and then by the same powers in reverse reads e in binary,
+    so the number of divisions grows with log e, not with e."""
+    powers: list[int] = []
+    q = p
+    while n % q == 0:
+        n //= q
+        powers.append(q)
+        q *= q
+    e = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            e += 1 << k
+    return n, e
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ right) matches composition of maps, left factor applied last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -18,19 +18,25 @@ from .numbers import ONE, AdditiveGroup, ExactNumber, ParseError, SlopeGroup
 from .plmaps import PLGroupSpec, PLMap, is_member
 
 
-@dataclass(frozen=True)
 class Tree:
-    """A leaf (children is None) or a caret with two subtrees.  `leaves`
-    is the leaf count, set from the children on construction."""
+    """An immutable leaf (children is None) or caret with two subtrees.
+    `leaves` is the leaf count, set from the children on construction."""
 
-    children: tuple[Tree, Tree] | None = None
-    leaves: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("children", "leaves")
 
-    def __post_init__(self) -> None:
-        children = self.children
-        object.__setattr__(
-            self, "leaves", 1 if children is None else children[0].leaves + children[1].leaves
-        )
+    def __init__(self, children: tuple[Tree, Tree] | None = None) -> None:
+        leaves = 1 if children is None else children[0].leaves + children[1].leaves
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "leaves", leaves)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Tree is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Tree is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return Tree, (self.children,)
 
     @property
     def is_leaf(self) -> bool:
@@ -38,19 +44,20 @@ class Tree:
 
     @property
     def left(self) -> Tree:
-        assert self.children is not None
         return self.children[0]
 
     @property
     def right(self) -> Tree:
-        assert self.children is not None
         return self.children[1]
 
     def __str__(self) -> str:
         return format_tree(self)
 
+    def __repr__(self) -> str:
+        return f"Tree({format_tree(self)!r})"
+
     # Equality and hashing walk the tree with an explicit stack, so that deep
-    # trees do not exhaust the recursion limit; the dataclass keeps these.
+    # trees do not exhaust the recursion limit.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
@@ -173,11 +180,6 @@ def _collapse(t: Tree, leaves: set[int]) -> Tree:
     if hits != len(leaves):
         raise ValueError("no caret at that leaf position")
     return built[0]
-
-
-def add_caret(t: Tree, leaf: int) -> Tree:
-    """Replace the given leaf (1-based) by a caret."""
-    return _graft(t, leaf, CARET)
 
 
 def collapse_caret(t: Tree, leaf: int) -> Tree:
@@ -364,7 +366,8 @@ def power(d: TreePair, k: int) -> TreePair:
 
 def f_characters(d: TreePair) -> tuple[int, int]:
     """(left, right) endpoint characters: the log2 slopes of the PL
-    realization at 0 and 1, computed on the trees."""
+    realization at 0 and 1, computed on the trees.  It reads only `minus`
+    and `plus`, so it serves braided diagrams (on pure braids) too."""
     return (
         left_depth(d.plus) - left_depth(d.minus),
         right_depth(d.plus) - right_depth(d.minus),

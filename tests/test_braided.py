@@ -10,14 +10,13 @@ from rinfinity.braided import (
     is_identity,
     multiply,
     parse_diagram,
-    phi_characters,
     standard_generators,
     try_reduce,
     wrap_generator,
 )
 from rinfinity.braids import BraidWord, braid_equal
 from rinfinity import treepairs as tp
-from rinfinity.treepairs import LEAF, Tree, TreePair, caret
+from rinfinity.treepairs import LEAF, Tree, TreePair, caret, f_characters
 
 
 def random_tree(rng, n_leaves):
@@ -44,6 +43,76 @@ def random_pure_diagram(rng, max_leaves=5, braid_length=2):
     return BraidedDiagram(
         random_tree(rng, n), random_pure_braid(rng, n, braid_length), random_tree(rng, n)
     )
+
+
+def random_diagram(rng, max_leaves=6, braid_length=4):
+    """A diagram whose braid permutes its strands, so that growth sites on
+    the plus tree route through the permutation."""
+    n = rng.randint(2, max_leaves)
+    letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(braid_length))
+    return BraidedDiagram(random_tree(rng, n), BraidWord(n, letters), random_tree(rng, n))
+
+
+# The product as first written: expand one caret at a time, recomputing
+# the growth sites and the permutation after every caret.  Kept as the
+# reference for the product that grafts each growth site once.
+
+
+def ref_multiply(d1, d2):
+    while growth := tp._growth(d1.plus, d2.minus):
+        d1 = expansion(d1, d1.braid.permutation().index(growth[0][0]) + 1)
+    while growth := tp._growth(d2.minus, d1.plus):
+        d2 = expansion(d2, growth[0][0])
+    return BraidedDiagram(d1.minus, d1.braid * d2.braid, d2.plus)
+
+
+def assert_same_product(d1, d2):
+    p, r = multiply(d1, d2), ref_multiply(d1, d2)
+    assert p.minus == r.minus and p.plus == r.plus
+    assert braid_equal(p.braid, r.braid)
+    return p
+
+
+def test_multiply_matches_caretwise_product_on_generator_words():
+    gens = list(standard_generators().values())
+    letters = gens + [inverse(g) for g in gens]
+    rng = random.Random(101)
+    for _ in range(300):
+        d = rng.choice(letters)
+        for _ in range(rng.randint(1, 4)):
+            d = assert_same_product(d, rng.choice(letters))
+
+
+def test_multiply_matches_caretwise_product_on_random_diagrams():
+    rng = random.Random(103)
+    for _ in range(300):
+        assert_same_product(random_pure_diagram(rng, 6, 2), random_pure_diagram(rng, 6, 2))
+        assert_same_product(random_diagram(rng), random_diagram(rng))
+
+
+def test_subtree_expansion_is_composite_of_caret_expansions():
+    rng = random.Random(105)
+    for _ in range(300):
+        d = random_diagram(rng)
+        leaf = rng.randint(1, d.n_strands)
+        subtree = random_tree(rng, rng.randint(1, 6))
+        # Carets built top down, each at the leftmost leaf of its subtree.
+        e, stack = d, [(leaf, subtree)]
+        while stack:
+            i, s = stack.pop()
+            if not s.is_leaf:
+                e = expansion(e, i)
+                stack += [(i, s.left), (i + 1, s.right)]
+        grafted = expansion(d, leaf, subtree)
+        assert grafted.minus == e.minus and grafted.plus == e.plus
+        assert braid_equal(grafted.braid, e.braid)
+
+
+def test_deep_diagram_has_repr_and_str():
+    v = tp.right_vine(3000)
+    d = BraidedDiagram(v, BraidWord(3000), v)
+    assert repr(d) == f"BraidedDiagram(minus={v!r}, braid={d.braid!r}, plus={v!r})"
+    assert str(d) == f"{v} | e | {v}"
 
 
 def test_expansion_of_identity():
@@ -130,13 +199,13 @@ def test_beta_vs_alpha_vine_sizes():
 
 
 def test_phi_characters_basics():
-    assert phi_characters(IDENTITY) == (0, 0)
+    assert f_characters(IDENTITY) == (0, 0)
     gens = standard_generators()
     for name, d in gens.items():
         if name.startswith(("alpha", "beta")):
-            assert phi_characters(d) == (0, 0)
-    assert phi_characters(gens["x0"]) == tp.f_characters(tp.X0)
-    assert phi_characters(gens["x1"]) == tp.f_characters(tp.X1)
+            assert f_characters(d) == (0, 0)
+    assert f_characters(gens["x0"]) == f_characters(tp.X0)
+    assert f_characters(gens["x1"]) == f_characters(tp.X1)
 
 
 def test_phi_characters_expansion_invariant():
@@ -144,7 +213,7 @@ def test_phi_characters_expansion_invariant():
     for _ in range(1000):
         d = random_pure_diagram(rng, 5, 1)
         e = expansion(d, rng.randint(1, d.n_strands))
-        assert phi_characters(e) == phi_characters(d)
+        assert f_characters(e) == f_characters(d)
 
 
 def test_phi_characters_additive():
@@ -152,8 +221,8 @@ def test_phi_characters_additive():
     for _ in range(1000):
         d1 = random_pure_diagram(rng, 4, 1)
         d2 = random_pure_diagram(rng, 4, 1)
-        c1, c2 = phi_characters(d1), phi_characters(d2)
-        c12 = phi_characters(multiply(d1, d2))
+        c1, c2 = f_characters(d1), f_characters(d2)
+        c12 = f_characters(multiply(d1, d2))
         assert c12 == (c1[0] + c2[0], c1[1] + c2[1])
 
 
@@ -168,7 +237,7 @@ def test_phi_quotient_rank_two():
             word = multiply(word, x0 if a > 0 else inverse(x0))
         for _ in range(abs(b)):
             word = multiply(word, x1 if b > 0 else inverse(x1))
-        chars = phi_characters(word)
+        chars = f_characters(word)
         assert (chars == (0, 0)) == (a == 0 and b == 0)
 
 
@@ -176,7 +245,7 @@ def test_multiply_with_braided_generator_characters():
     gens = standard_generators()
     product = multiply(gens["x0"], gens["alpha12"])
     assert product.is_pure
-    assert phi_characters(product) == phi_characters(gens["x0"])
+    assert f_characters(product) == f_characters(gens["x0"])
 
 
 def test_diagram_parse_roundtrip():

@@ -178,6 +178,26 @@ def test_cable_sigma1():
     assert cable(BraidWord(2, (1,)), 2) == BraidWord(3, (1, 2))
 
 
+def test_wide_cable_is_repeated_doubling():
+    rng = random.Random(75)
+    for _ in range(2000):
+        n = rng.randint(2, 5)
+        b = random_word(rng, n, rng.randint(0, 8))
+        s, width = rng.randint(1, n), rng.randint(1, 5)
+        doubled = b
+        for _ in range(width - 1):
+            doubled = cable(doubled, s)
+        assert cable(b, s, width) == doubled
+        assert cable(b, s, 1) == b
+
+
+def test_cable_rejects_bad_width_and_strand():
+    b = BraidWord(3, (1, -2))
+    for strand, width in ((1, 0), (2, -1), (0, 2), (4, 2), (4, 1)):
+        with pytest.raises(ValueError):
+            cable(b, strand, width)
+
+
 def test_cable_permutation_block_refinement():
     # Start positions above s shift by one, end positions above perm(s)
     # shift by one, and the doubled pair (s, s+1) lands in parallel on

@@ -149,6 +149,11 @@ def test_slope_factorization():
     assert p23.factor(ExactNumber.rational(4, 3)) == (2, -1)
     with pytest.raises(NonMember):
         p23.factor(ExactNumber.rational(5))
+    # Exponents far past the powers of p that the stripping squares up to.
+    assert SlopeGroup.of(2).factor(ExactNumber.rational(1, 2**20000)) == (-20000,)
+    assert p23.factor(ExactNumber.rational(3**777, 2**5)) == (-5, 777)
+    with pytest.raises(NonMember):
+        p23.factor(ExactNumber.rational(5 * 3**777, 2**5))
     ptau = SlopeGroup.of(TAU)
     assert ptau.factor(ONE - TAU) == (2,)
     assert ptau.factor(ONE + TAU) == (-1,)

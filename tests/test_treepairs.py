@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -128,6 +130,13 @@ def test_to_pl_from_pl_roundtrip():
     for _ in range(1000):
         d = random_pair(rng, 7)
         assert from_pl(to_pl(d)) == d
+    # A left vine over a right vine has end slopes 2^-4998 and 2^4998.
+    left = LEAF
+    for _ in range(4999):
+        left = caret(left, LEAF)
+    d = TreePair(left, tp.right_vine(5000))
+    assert f_characters(d) == (-4998, 4998)
+    assert from_pl(to_pl(d)) == d
 
 
 def test_from_pl_roundtrip_on_a_long_power():
@@ -333,7 +342,7 @@ def test_caret_helpers_reject_bad_positions():
     t = parse_tree("((..).)")
     for leaf in (0, 4):
         with pytest.raises(ValueError):
-            tp.add_caret(t, leaf)
+            expansion(TreePair(t, t), leaf)
     for leaf in (2, 3):
         with pytest.raises(ValueError):
             tp.collapse_caret(t, leaf)
@@ -369,6 +378,26 @@ def test_tree_equality_and_hash_are_structural():
             assert hash(s) == hash(t)
     assert len(set(trees)) == len({format_tree(t) for t in trees})
     assert tp.Tree() == LEAF and X0.minus != LEAF
+
+
+def test_deep_trees_have_repr_and_str():
+    v = tp.right_vine(3000)
+    text = format_tree(v)
+    assert str(v) == text and repr(v) == f"Tree({text!r})"
+    assert str(TreePair(v, v)) == f"{text}|{text}"
+    assert repr(TreePair(v, v)) == f"TreePair(minus={v!r}, plus={v!r})"
+    assert repr(X0) == "TreePair(minus=Tree('((..).)'), plus=Tree('(.(..))'))"
+
+
+def test_tree_nodes_are_immutable():
+    t = X0.minus
+    for name in ("children", "leaves"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert t.children[0] == tp.CARET and t.leaves == 3
+    assert copy.copy(t) == t and pickle.loads(pickle.dumps(X0)) == X0
 
 
 def test_leaf_field_matches_recursive_count():
