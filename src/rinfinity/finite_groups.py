@@ -96,6 +96,30 @@ class FiniteGroup:
         return closed
 
     @cached_property
+    def _automorphism_plan(self):
+        """What automorphisms() reads from the table, built once per group:
+        the word tree in topological order (parents before children) as
+        (element, parent, position of its last generator) steps; the size
+        of <g_0 .. g_i> for each i; the candidate images of each generator
+        (the elements of its order); and the table's columns, where
+        columns[c][x] is x * c."""
+        n, gens = self.order, self.generating_sequence
+        tree, orders = self.word_tree, self.element_orders
+        gen_pos = {a: i for i, a in enumerate(gens)}
+        steps: list[tuple[int, int, int]] = []
+        seen = {0}
+        while len(seen) < n:
+            for e in range(1, n):
+                parent, gen = tree[e]
+                if e not in seen and parent in seen:
+                    steps.append((e, parent, gen_pos[gen]))
+                    seen.add(e)
+        sizes = [len(self.subgroup_closure(gens[: i + 1])) for i in range(len(gens))]
+        candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in gens]
+        columns = [self.table[c::n] for c in range(n)]
+        return steps, sizes, candidates, columns
+
+    @cached_property
     def word_tree(self) -> tuple[tuple[int, int], ...]:
         """BFS expressions: element e != 0 satisfies e = parent * generator."""
         gens = self.generating_sequence
@@ -328,22 +352,7 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     k = len(gens)
     if k == 0:
         return [(0,)]
-    orders = g.element_orders
-    tree = g.word_tree
-    gen_pos = {a: i for i, a in enumerate(gens)}
-    # the word tree in topological order (parents before children), each
-    # element with its parent and the position of its last generator
-    steps: list[tuple[int, int, int]] = []
-    seen = {0}
-    while len(seen) < n:
-        for e in range(1, n):
-            parent, gen = tree[e]
-            if e not in seen and parent in seen:
-                steps.append((e, parent, gen_pos[gen]))
-                seen.add(e)
-    sizes = [len(g.subgroup_closure(gens[: i + 1])) for i in range(k)]
-    candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in gens]
-    columns = [g.table[c::n] for c in range(n)]
+    steps, sizes, candidates, columns = g._automorphism_plan
     assignment = list(gens)
     images = [0] * n
     # spans[j] is the subgroup generated by assignment[:j]

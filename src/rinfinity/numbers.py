@@ -6,8 +6,12 @@ the small golden ratio, subject to t**2 = 1 - t.  Both fields are always
 Fractions (ints are widened, floats refused), and the rational numbers are
 exactly the values with b == 0.  When both operands are rational, every
 operator works on a alone, so maps over Q never touch the sqrt5
-coordinate; otherwise signs are decided by integer squaring, and
-comparisons reduce to signs.  No floating point is used anywhere.
+coordinate.  Otherwise products, inverses and quotients run one integer
+kernel over the numerators and denominators of the fields and build each
+result field with a single Fraction, and signs and comparisons reduce to
+the sign of an integer combination u + v*sqrt5, decided by integer
+squaring without building a difference.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ def _exact_field(value) -> Fraction:
     raise TypeError(f"ExactNumber fields must be int or Fraction, not {type(value).__name__}")
 
 
-def _sqrt5_combination_sign(u: Fraction, v: Fraction) -> int:
-    """Exact sign of u + v*sqrt(5), by squaring with a four-way case split."""
+def _sqrt5_combination_sign(u: int, v: int) -> int:
+    """Exact sign of u + v*sqrt(5) for integers u, v, by squaring with a
+    four-way case split.  Every irrational sign and comparison ends here."""
     if v == 0:
         return (u > 0) - (u < 0)
     if u == 0:
@@ -49,6 +54,29 @@ def _sqrt5_combination_sign(u: Fraction, v: Fraction) -> int:
     d = u * u - 5 * v * v
     s = (d > 0) - (d < 0)
     return s if u > 0 else -s
+
+
+def _difference_sign(x: ExactNumber, y: ExactNumber) -> int:
+    """Sign of x - y without building it: over the positive denominator
+    D = d1*d2*e1*e2 of the fields, D*(x - y) = A + B*t, and
+    2*(A + B*t) = (2A - B) + B*sqrt5."""
+    n1, d1 = x.a.numerator, x.a.denominator
+    m1, e1 = x.b.numerator, x.b.denominator
+    n2, d2 = y.a.numerator, y.a.denominator
+    m2, e2 = y.b.numerator, y.b.denominator
+    a = (n1 * d2 - n2 * d1) * e1 * e2
+    b = (m1 * e2 - m2 * e1) * d1 * d2
+    return _sqrt5_combination_sign(2 * a - b, b)
+
+
+def _scaled_inverse(x: ExactNumber) -> tuple[int, int, int]:
+    """Integers (p, q, norm) with 1/x = (p + q t)/norm: the conjugate
+    (a - b) - b t over the norm a^2 - a b - b^2, both scaled by d^2 e^2 for
+    a = n/d, b = m/e.  The norm is 0 only for x = 0."""
+    n, d = x.a.numerator, x.a.denominator
+    m, e = x.b.numerator, x.b.denominator
+    de = d * e
+    return (n * e - m * d) * de, -m * d * de, n * n * e * e - n * m * de - m * m * d * d
 
 
 @dataclass(frozen=True)
@@ -109,31 +137,28 @@ class ExactNumber:
         o = other if type(other) is ExactNumber else ExactNumber.of(other)
         if not self.b and not o.b:
             return ExactNumber(self.a * o.a)
-        # (a1 + b1 t)(a2 + b2 t) with t^2 = 1 - t.
-        cross = self.a * o.b + self.b * o.a
-        sq = self.b * o.b
-        return ExactNumber(self.a * o.a + sq, cross - sq)
+        # (a1 + b1 t)(a2 + b2 t) = (a1 a2 + b1 b2) + (a1 b2 + b1 a2 - b1 b2) t
+        # with t^2 = 1 - t, over the common denominator d1 d2 e1 e2.
+        n1, d1 = self.a.numerator, self.a.denominator
+        m1, e1 = self.b.numerator, self.b.denominator
+        n2, d2 = o.a.numerator, o.a.denominator
+        m2, e2 = o.b.numerator, o.b.denominator
+        sq = m1 * m2 * d1 * d2
+        den = d1 * d2 * e1 * e2
+        return ExactNumber(
+            Fraction(n1 * n2 * e1 * e2 + sq, den),
+            Fraction(n1 * m2 * e1 * d2 + m1 * n2 * d1 * e2 - sq, den),
+        )
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> ExactNumber:
-        # Galois conjugate sends t to -1 - t.
-        return ExactNumber(self.a - self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        # Product with the conjugate: a^2 - a*b - b^2, a rational.
-        return self.a * self.a - self.a * self.b - self.b * self.b
 
     def inverse(self) -> ExactNumber:
         if not self.b:
             if not self.a:
                 raise ZeroDivisionError("division by zero")
             return ExactNumber(Fraction(self.a.denominator, self.a.numerator))
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        c = self.conjugate()
-        return ExactNumber(c.a / n, c.b / n)
+        p, q, norm = _scaled_inverse(self)
+        return ExactNumber(Fraction(p, norm), Fraction(q, norm))
 
     def __truediv__(self, other) -> ExactNumber:
         o = other if type(other) is ExactNumber else ExactNumber.of(other)
@@ -141,7 +166,16 @@ class ExactNumber:
             if not o.a:
                 raise ZeroDivisionError("division by zero")
             return ExactNumber(self.a / o.a)
-        return self * o.inverse()
+        p, q, norm = _scaled_inverse(o)
+        if not norm:
+            raise ZeroDivisionError("division by zero")
+        # (a1 + b1 t)(p + q t) = (a1 p + b1 q) + (a1 q + b1 (p - q)) t,
+        # over the denominator d1 e1 norm for a1 = n1/d1, b1 = m1/e1.
+        n1, d1 = self.a.numerator, self.a.denominator
+        m1, e1 = self.b.numerator, self.b.denominator
+        ne, md = n1 * e1, m1 * d1
+        den = d1 * e1 * norm
+        return ExactNumber(Fraction(ne * p + md * q, den), Fraction(ne * q + md * (p - q), den))
 
     def __rtruediv__(self, other) -> ExactNumber:
         return ExactNumber.of(other) / self
@@ -159,35 +193,37 @@ class ExactNumber:
         return result
 
     def sign(self) -> int:
+        n = self.a.numerator
         if not self.b:
-            n = self.a.numerator
             return (n > 0) - (n < 0)
-        # a + b t = ((2a - b) + b*sqrt5) / 2
-        return _sqrt5_combination_sign(2 * self.a - self.b, self.b)
+        # a + b t = ((2a - b) + b*sqrt5) / 2, scaled by d e for a = n/d, b = m/e
+        d = self.a.denominator
+        m, e = self.b.numerator, self.b.denominator
+        return _sqrt5_combination_sign(2 * n * e - m * d, m * d)
 
     def __lt__(self, other) -> bool:
         o = other if type(other) is ExactNumber else ExactNumber.of(other)
         if not self.b and not o.b:
             return self.a < o.a
-        return (self - o).sign() < 0
+        return _difference_sign(self, o) < 0
 
     def __le__(self, other) -> bool:
         o = other if type(other) is ExactNumber else ExactNumber.of(other)
         if not self.b and not o.b:
             return self.a <= o.a
-        return (self - o).sign() <= 0
+        return _difference_sign(self, o) <= 0
 
     def __gt__(self, other) -> bool:
         o = other if type(other) is ExactNumber else ExactNumber.of(other)
         if not self.b and not o.b:
             return self.a > o.a
-        return (self - o).sign() > 0
+        return _difference_sign(self, o) > 0
 
     def __ge__(self, other) -> bool:
         o = other if type(other) is ExactNumber else ExactNumber.of(other)
         if not self.b and not o.b:
             return self.a >= o.a
-        return (self - o).sign() >= 0
+        return _difference_sign(self, o) >= 0
 
     def __eq__(self, other) -> bool:
         if type(other) is not ExactNumber:
@@ -377,9 +413,9 @@ class SlopeGroup:
     that factor() has at most one answer; for two or more rational
     generators the exponent matrix is checked to have full column rank.
     factor() covers the cases needed here: all-rational generator sets via
-    smooth factorization, and single-generator sets via iterated exact
-    division.  It refuses mixed quadratic sets of two or more generators,
-    whose independence is not checked.
+    smooth factorization, and single-generator sets via exact division by
+    repeated squares of the generator.  It refuses mixed quadratic sets of
+    two or more generators, whose independence is not checked.
     """
 
     generators: tuple[ExactNumber, ...]
@@ -430,20 +466,26 @@ class SlopeGroup:
 
     def _factor_single(self, x: ExactNumber) -> tuple[int, ...]:
         g = self.generators[0]
-        base = g if g > ONE else g.inverse()
-        flip = g < ONE
-        # base > 1: divide toward 1 from whichever side x sits on.
-        y = x
-        e = 0
-        while y > ONE:
-            y = y / base
-            e += 1
-        while y < ONE:
-            y = y * base
-            e -= 1
+        g_up, x_up = g > ONE, x >= ONE
+        base = g if g_up else g.inverse()
+        # With base > 1 and y = x or 1/x >= 1, read the exponent of base in
+        # y in binary, as _strip does for a prime: divide by base, base^2,
+        # base^4, ... and then by the same powers in reverse.
+        y = x if x_up else x.inverse()
+        powers: list[ExactNumber] = []
+        q = base
+        while y >= q:
+            y = y / q
+            powers.append(q)
+            q = q * q
+        e = (1 << len(powers)) - 1
+        for k in reversed(range(len(powers))):
+            if y >= powers[k]:
+                y = y / powers[k]
+                e += 1 << k
         if y != ONE:
             raise NonMember(f"{x} is not a power of {g}")
-        return (-e if flip else e,)
+        return (e if x_up == g_up else -e,)
 
     def factor(self, x: ExactNumber) -> tuple[int, ...]:
         """Exponent vector e with x = prod(g_i ** e_i); NonMember otherwise."""

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -329,3 +330,133 @@ def test_division_by_a_rational_zero():
         zero**-1
     with pytest.raises(ZeroDivisionError):
         3 / zero
+
+
+# The Fraction formulas the integer kernels replaced, kept as oracles.
+
+
+def ref_sqrt5_combination_sign(u: Fraction, v: Fraction) -> int:
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return (v > 0) - (v < 0)
+    if u > 0 and v > 0:
+        return 1
+    if u < 0 and v < 0:
+        return -1
+    d = u * u - 5 * v * v
+    s = (d > 0) - (d < 0)
+    return s if u > 0 else -s
+
+
+def ref_sign(x: ExactNumber) -> int:
+    return ref_sqrt5_combination_sign(2 * x.a - x.b, x.b)
+
+
+def ref_mul(x: ExactNumber, y: ExactNumber) -> ExactNumber:
+    cross = x.a * y.b + x.b * y.a
+    sq = x.b * y.b
+    return ExactNumber(x.a * y.a + sq, cross - sq)
+
+
+def ref_inverse(x: ExactNumber) -> ExactNumber:
+    # The conjugate (a - b) - b t over the norm a^2 - a b - b^2.
+    norm = x.a * x.a - x.a * x.b - x.b * x.b
+    if norm == 0:
+        raise ZeroDivisionError("division by zero")
+    return ExactNumber((x.a - x.b) / norm, -x.b / norm)
+
+
+def ref_truediv(x: ExactNumber, y: ExactNumber) -> ExactNumber:
+    return ref_mul(x, ref_inverse(y))
+
+
+def assert_same_fields(x: ExactNumber, y: ExactNumber) -> None:
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert (x.a, x.b) == (y.a, y.b)
+
+
+def random_field(rng) -> Fraction:
+    kind = rng.random()
+    if kind < 0.15:
+        return Fraction(0)
+    bits = 200 if kind < 0.6 else 12
+    num = rng.randint(-(2**bits), 2**bits)
+    return Fraction(num, rng.randint(1, 2**bits))
+
+
+def random_quadratic_pair(rng) -> tuple[ExactNumber, ExactNumber]:
+    """Two numbers, at least one of them irrational, with coordinates up
+    to 2^200, either field possibly zero and of either sign."""
+    while True:
+        x = ExactNumber(random_field(rng), random_field(rng))
+        y = ExactNumber(random_field(rng), random_field(rng))
+        if x.b or y.b:
+            return x, y
+
+
+def test_kernels_match_fraction_formulas():
+    rng = random.Random(131)
+    for _ in range(2500):
+        x, y = random_quadratic_pair(rng)
+        assert_same_fields(x * y, ref_mul(x, y))
+        assert_same_fields(y * x, ref_mul(y, x))
+        for u, v in ((x, y), (y, x)):
+            if v:
+                assert_same_fields(v.inverse(), ref_inverse(v))
+                assert_same_fields(u / v, ref_truediv(u, v))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    u / v
+            assert u.sign() == ref_sign(u)
+            s = ref_sign(u - v)
+            assert (u < v, u <= v, u > v, u >= v) == (s < 0, s <= 0, s > 0, s >= 0)
+
+
+def test_kernel_signs_on_lucas_fibonacci_pairs():
+    # L_k^2 - 5 F_k^2 = 4 (-1)^k, so L_k - F_k sqrt5 = 2 psi^k is tiny with
+    # sign (-1)^k; a + b t = ((2a - b) + b sqrt5)/2 gives a = (u + v)/2.
+    rng = random.Random(137)
+    fib, luc = 0, 2
+    nxt_fib, nxt_luc = 1, 1
+    for k in range(301):
+        assert luc * luc - 5 * fib * fib == 4 * (-1) ** k
+        for v in (fib, -fib):
+            x = ExactNumber(Fraction(luc + v, 2), v)
+            expected = 1 if v >= 0 or k % 2 == 0 else -1
+            assert x.sign() == ref_sign(x) == expected
+            assert (-x).sign() == -expected
+        # L_k/2 against F_k sqrt5 / 2, scaled by a random rational
+        half_l = ExactNumber(Fraction(luc, 2))
+        half_f_sqrt5 = ExactNumber(Fraction(fib, 2), fib)
+        c = ExactNumber(Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**64), rng.randint(1, 2**64)))
+        for p, q in ((half_l, half_f_sqrt5), (c * half_l, c * half_f_sqrt5)):
+            for u, v in ((p, q), (q, p)):
+                s = ref_sign(u - v)
+                assert (u < v, u <= v, u > v, u >= v) == (s < 0, s <= 0, s > 0, s >= 0)
+        if k:
+            assert (half_l < half_f_sqrt5) == (k % 2 == 1)
+        fib, nxt_fib = nxt_fib, fib + nxt_fib
+        luc, nxt_luc = nxt_luc, luc + nxt_luc
+
+
+def test_single_generator_factoring_is_logarithmic():
+    # tau^2000 has coordinates of about 1,390 bits; one division per unit
+    # of exponent took about 0.1 s per factorization.
+    phi = ONE + TAU
+    for g in (TAU, phi):
+        group = SlopeGroup.of(g)
+        for x, e in ((TAU, 1), (phi, -1)):
+            for k in (2000, -2000):
+                power = x**k
+                expected = (e * k if g == TAU else -e * k,)
+                best = float("inf")
+                for _ in range(3):
+                    start = time.perf_counter()
+                    assert group.factor(power) == expected
+                    best = min(best, time.perf_counter() - start)
+                assert best < 0.01, (g, x, k, best)
+    with pytest.raises(NonMember):
+        SlopeGroup.of(TAU).factor(2 * TAU**2000)
+    with pytest.raises(NonMember):
+        SlopeGroup.of(phi).factor(2 * TAU**2000)

@@ -331,6 +331,27 @@ def test_support_crossings_and_fixed_spans():
     assert support(split) == ref_support(split)
 
 
+def test_golden_compose_reaches_the_sqrt5_sign(monkeypatch):
+    # Positive control for the test below: every irrational sign goes
+    # through numbers._sqrt5_combination_sign, so a counter patched onto it
+    # sees the comparisons of one compose in a (phi, phi^2, phi^3) family.
+    from rinfinity import numbers
+
+    phi = ONE + TAU
+    f, g, _ = scaling_family(phi, phi**2, phi**3)
+    original = numbers._sqrt5_combination_sign
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return original(u, v)
+
+    monkeypatch.setattr(numbers, "_sqrt5_combination_sign", counting)
+    fg = compose(f, g)
+    assert calls
+    assert compose(fg, g.inverse()) == f
+
+
 def test_rational_pipeline_never_reaches_the_sqrt5_sign(monkeypatch):
     # Maps over Q must take the rational path of every ExactNumber operator:
     # with the sign test for irrational values disabled, the PL operations
