@@ -6,9 +6,10 @@ the small golden ratio, subject to t**2 = 1 - t.  Both fields are always
 Fractions (ints are widened, floats refused), and the rational numbers are
 exactly the values with b == 0.  When both operands are rational, every
 operator works on a alone, so maps over Q never touch the sqrt5
-coordinate.  Otherwise products, inverses and quotients run one integer
-kernel over the numerators and denominators of the fields and build each
-result field with a single Fraction, and signs and comparisons reduce to
+coordinate.  Otherwise sums, differences, products, inverses and
+quotients run one integer kernel over the numerators and denominators of
+the fields, build each result field with a single Fraction and skip the
+field check of the public constructor; signs and comparisons reduce to
 the sign of an integer combination u + v*sqrt5, decided by integer
 squaring without building a difference.  No floating point is used
 anywhere.
@@ -69,6 +70,33 @@ def _difference_sign(x: ExactNumber, y: ExactNumber) -> int:
     return _sqrt5_combination_sign(2 * a - b, b)
 
 
+def _field_sum(x: Fraction, y: Fraction) -> Fraction:
+    """x + y over the common denominator d1*d2, or over d when both
+    denominators are d."""
+    d1, d2 = x.denominator, y.denominator
+    if d1 == d2:
+        return Fraction(x.numerator + y.numerator, d1)
+    return Fraction(x.numerator * d2 + y.numerator * d1, d1 * d2)
+
+
+def _field_difference(x: Fraction, y: Fraction) -> Fraction:
+    """x - y over the common denominator d1*d2, or over d when both
+    denominators are d."""
+    d1, d2 = x.denominator, y.denominator
+    if d1 == d2:
+        return Fraction(x.numerator - y.numerator, d1)
+    return Fraction(x.numerator * d2 - y.numerator * d1, d1 * d2)
+
+
+def _from_fields(a: Fraction, b: Fraction) -> ExactNumber:
+    """a + b*t from fields that are Fractions already, without the field
+    check of the public constructor."""
+    x = object.__new__(ExactNumber)
+    object.__setattr__(x, "a", a)
+    object.__setattr__(x, "b", b)
+    return x
+
+
 def _scaled_inverse(x: ExactNumber) -> tuple[int, int, int]:
     """Integers (p, q, norm) with 1/x = (p + q t)/norm: the conjugate
     (a - b) - b t over the norm a^2 - a b - b^2, both scaled by d^2 e^2 for
@@ -115,20 +143,20 @@ class ExactNumber:
         o = other if type(other) is ExactNumber else ExactNumber.of(other)
         if not self.b and not o.b:
             return ExactNumber(self.a + o.a)
-        return ExactNumber(self.a + o.a, self.b + o.b)
+        return _from_fields(_field_sum(self.a, o.a), _field_sum(self.b, o.b))
 
     __radd__ = __add__
 
     def __neg__(self) -> ExactNumber:
         if not self.b:
             return ExactNumber(-self.a)
-        return ExactNumber(-self.a, -self.b)
+        return _from_fields(-self.a, -self.b)
 
     def __sub__(self, other) -> ExactNumber:
         o = other if type(other) is ExactNumber else ExactNumber.of(other)
         if not self.b and not o.b:
             return ExactNumber(self.a - o.a)
-        return ExactNumber(self.a - o.a, self.b - o.b)
+        return _from_fields(_field_difference(self.a, o.a), _field_difference(self.b, o.b))
 
     def __rsub__(self, other) -> ExactNumber:
         return ExactNumber.of(other) - self
@@ -145,7 +173,7 @@ class ExactNumber:
         m2, e2 = o.b.numerator, o.b.denominator
         sq = m1 * m2 * d1 * d2
         den = d1 * d2 * e1 * e2
-        return ExactNumber(
+        return _from_fields(
             Fraction(n1 * n2 * e1 * e2 + sq, den),
             Fraction(n1 * m2 * e1 * d2 + m1 * n2 * d1 * e2 - sq, den),
         )
@@ -158,7 +186,7 @@ class ExactNumber:
                 raise ZeroDivisionError("division by zero")
             return ExactNumber(Fraction(self.a.denominator, self.a.numerator))
         p, q, norm = _scaled_inverse(self)
-        return ExactNumber(Fraction(p, norm), Fraction(q, norm))
+        return _from_fields(Fraction(p, norm), Fraction(q, norm))
 
     def __truediv__(self, other) -> ExactNumber:
         o = other if type(other) is ExactNumber else ExactNumber.of(other)
@@ -175,7 +203,7 @@ class ExactNumber:
         m1, e1 = self.b.numerator, self.b.denominator
         ne, md = n1 * e1, m1 * d1
         den = d1 * e1 * norm
-        return ExactNumber(Fraction(ne * p + md * q, den), Fraction(ne * q + md * (p - q), den))
+        return _from_fields(Fraction(ne * p + md * q, den), Fraction(ne * q + md * (p - q), den))
 
     def __rtruediv__(self, other) -> ExactNumber:
         return ExactNumber.of(other) / self

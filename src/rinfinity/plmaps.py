@@ -8,6 +8,11 @@ canonical form has no breakpoint where the slope does not change, so maps
 are equal iff their fields are.  The knots (x, f(x)) at 0, each breakpoint
 and ell are computed once per map; composition, inversion, support and
 membership walk them from left to right and evaluate nothing.
+
+Only maps built from outside are validated: `PLMap(...)`, `PLMap.make`
+and `parse_plmap` check every field.  `compose` and `inverse` produce a
+canonical map together with its knots, and hand both to the result
+without checking them again.
 """
 
 from __future__ import annotations
@@ -115,9 +120,8 @@ class PLMap:
         return self.slopes[-1]
 
     def inverse(self) -> PLMap:
-        breaks = tuple(y for _, y in self._knots[1:-1])
-        slopes = tuple(s.inverse() for s in self.slopes)
-        return PLMap(self.ell, breaks, slopes)
+        knots = [(y, x) for x, y in self._knots]
+        return _from_knots(self.ell, knots, [s.inverse() for s in self.slopes])
 
     def __mul__(self, other: PLMap) -> PLMap:
         return compose(self, other)
@@ -126,30 +130,57 @@ class PLMap:
         return format_plmap(self)
 
 
+def _from_knots(ell, knots, slopes) -> PLMap:
+    """The map with these knots and slopes, which must be canonical by
+    construction: the public constructor's checks are skipped, and the
+    knots seed the map's cache."""
+    f = object.__new__(PLMap)
+    object.__setattr__(f, "ell", ell)
+    object.__setattr__(f, "breakpoints", tuple([x for x, _ in knots[1:-1]]))
+    object.__setattr__(f, "slopes", tuple(slopes))
+    object.__setattr__(f, "_knots", tuple(knots))
+    return f
+
+
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """The map x -> f(g(x)), in one walk over the segments of g.
+    """The map x -> f(g(x)) and its knots, in one walk over the segments
+    of g and the knots of f.
 
     On the segment from (x0, y0) to (x1, y1) with slope s, every breakpoint
-    b of f with y0 < b < y1 pulls back to the breakpoint x0 + (b - y0)/s,
-    and the slope there is s times the slope of f just below b.  f's right
-    endpoint closes its breakpoint list, so the walk never runs off it.
+    b of f with y0 < b < y1 pulls back to the knot (x0 + (b - y0)/s, f(b)),
+    and the slope there is s times the slope of f just below b.  The image
+    of x1 is f's knot value when y1 is a knot of f, and is read off the
+    last knot of f below y1 otherwise.  f's knot at ell closes the walk, so
+    it never runs off it.  A knot where the slope does not change is
+    overwritten by the next, so the result is canonical as built.
     """
     if f.ell != g.ell:
         raise ValueError("maps act on different intervals")
-    f_breaks = f.breakpoints + (f.ell,)
-    j = 0
-    breaks: list[ExactNumber] = []
+    f_knots = f._knots
+    knots = [f_knots[0]]
     slopes: list[ExactNumber] = []
+
+    def extend(knot, slope):
+        if slopes and slope == slopes[-1]:
+            knots[-1] = knot
+        else:
+            knots.append(knot)
+            slopes.append(slope)
+
+    j = 0  # f's segment from f_knots[j] to f_knots[j + 1] contains y0
     for (x0, y0), (x1, y1), s in zip(g._knots, g._knots[1:], g.slopes):
-        while f_breaks[j] < y1:
-            breaks.append(x0 + (f_breaks[j] - y0) / s)
-            slopes.append(s * f.slopes[j])
+        b, fb = f_knots[j + 1]
+        while b < y1:
+            extend((x0 + (b - y0) / s, fb), s * f.slopes[j])
             j += 1
-        breaks.append(x1)
-        slopes.append(s * f.slopes[j])
-        if f_breaks[j] == y1:
+            b, fb = f_knots[j + 1]
+        if b == y1:
+            extend((x1, fb), s * f.slopes[j])
             j += 1
-    return PLMap.make(f.ell, breaks[:-1], slopes)
+        else:
+            fx, fy = f_knots[j]
+            extend((x1, fy + f.slopes[j] * (y1 - fx)), s * f.slopes[j])
+    return _from_knots(f.ell, knots, slopes)
 
 
 def support(f: PLMap) -> tuple[tuple[ExactNumber, ExactNumber], ...]:

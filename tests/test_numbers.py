@@ -353,6 +353,14 @@ def ref_sign(x: ExactNumber) -> int:
     return ref_sqrt5_combination_sign(2 * x.a - x.b, x.b)
 
 
+def ref_add(x: ExactNumber, y: ExactNumber) -> ExactNumber:
+    return ExactNumber(x.a + y.a, x.b + y.b)
+
+
+def ref_sub(x: ExactNumber, y: ExactNumber) -> ExactNumber:
+    return ExactNumber(x.a - y.a, x.b - y.b)
+
+
 def ref_mul(x: ExactNumber, y: ExactNumber) -> ExactNumber:
     cross = x.a * y.b + x.b * y.a
     sq = x.b * y.b
@@ -402,6 +410,9 @@ def test_kernels_match_fraction_formulas():
         assert_same_fields(x * y, ref_mul(x, y))
         assert_same_fields(y * x, ref_mul(y, x))
         for u, v in ((x, y), (y, x)):
+            assert_same_fields(u + v, ref_add(u, v))
+            assert_same_fields(u - v, ref_sub(u, v))
+            assert_same_fields(-u, ExactNumber(-u.a, -u.b))
             if v:
                 assert_same_fields(v.inverse(), ref_inverse(v))
                 assert_same_fields(u / v, ref_truediv(u, v))
@@ -411,6 +422,23 @@ def test_kernels_match_fraction_formulas():
             assert u.sign() == ref_sign(u)
             s = ref_sign(u - v)
             assert (u < v, u <= v, u > v, u >= v) == (s < 0, s <= 0, s > 0, s >= 0)
+
+
+def test_sums_that_cancel_to_a_rational_are_canonical():
+    F = Fraction
+    cases = [
+        (TAU - TAU + 1, F(1)),
+        ((ONE + TAU) - TAU, F(1)),
+        (TAU + (ExactNumber(F(1, 2)) - TAU), F(1, 2)),
+        (ExactNumber(F(1, 3), F(2, 7)) + ExactNumber(F(1, 6), F(-2, 7)), F(1, 2)),
+        (ExactNumber(F(3, 4), F(1, 9)) - ExactNumber(F(3, 4), F(1, 9)), F(0)),
+        (-TAU + TAU, F(0)),
+    ]
+    for x, q in cases:
+        assert_rational(x, q)
+        assert x.b == Fraction(0)
+        assert hash(x) == hash(q) == hash(ExactNumber(q))
+        assert x == q and x == ExactNumber(q)
 
 
 def test_kernel_signs_on_lucas_fibonacci_pairs():

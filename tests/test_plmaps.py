@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -53,6 +55,14 @@ def random_dyadic_map(rng, depth=4):
     return out
 
 
+def assert_canonical(c: PLMap) -> None:
+    """The validating constructor accepts c, and computes the knots that
+    c was built with."""
+    fresh = PLMap(c.ell, c.breakpoints, c.slopes)
+    assert fresh == c
+    assert fresh._knots == c._knots
+
+
 def test_evaluate_identity():
     assert PLMap.identity(1)(R(3, 7)) == R(3, 7)
 
@@ -73,6 +83,7 @@ def test_compose_inverse_is_identity():
         f = random_dyadic_map(rng)
         assert compose(f, f.inverse()).is_identity
         assert f.inverse().inverse() == f
+        assert_canonical(f.inverse())
 
 
 def test_compose_f2_squared():
@@ -101,15 +112,23 @@ def test_group_axioms_random():
     rng = random.Random(31)
     for _ in range(250):
         f, g, h = (random_dyadic_map(rng, 3) for _ in range(3))
-        assert compose(compose(f, g), h) == compose(f, compose(g, h))
-        assert compose(f, PLMap.identity(1)) == f
-        assert compose(PLMap.identity(1), f) == f
+        fg, gh = compose(f, g), compose(g, h)
+        left, right = compose(fg, h), compose(f, gh)
+        f_id, id_f = compose(f, PLMap.identity(1)), compose(PLMap.identity(1), f)
+        for c in (fg, gh, left, right, f_id, id_f):
+            assert_canonical(c)
+        assert left == right
+        assert f_id == f
+        assert id_f == f
     # same over Q(sqrt5)
     maps = [TAU_MAP, TAU_MAP.inverse(), compose(TAU_MAP, TAU_MAP)]
     for f in maps:
         for g in maps:
             for h in maps:
-                assert compose(compose(f, g), h) == compose(f, compose(g, h))
+                left, right = compose(compose(f, g), h), compose(f, compose(g, h))
+                assert_canonical(left)
+                assert_canonical(right)
+                assert left == right
 
 
 def test_membership():
@@ -301,8 +320,46 @@ def test_compose_matches_reference(family):
         u, v = random_word(rng, family, 4), random_word(rng, family, 4)
         # f o f^-1 puts every breakpoint of f on a knot of g.
         for f, g in ((u, v), (v, u), (u, u.inverse()), (u, u), (u, identity), (identity, u)):
-            assert compose(f, g) == ref_compose(f, g)
+            c = compose(f, g)
+            assert_canonical(c)
+            assert c == ref_compose(f, g)
         assert compose(u, u.inverse()).is_identity
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_compose_prunes_as_it_walks(family):
+    # Every merge removes a knot of g that is also the pullback of a
+    # breakpoint of f.  Three ways to need one: f o f^-1 loses all of them;
+    # (b o a^-1) o a = b loses breakpoints of a; b o (b^-1 o a) = a loses
+    # pullbacks of breakpoints of b.
+    a, b, _ = FAMILIES[family]
+    ell = a.ell
+    for f in (a, b, compose(a, b)):
+        c = compose(f, f.inverse())
+        assert (c.breakpoints, c.slopes) == ((), (ONE,))
+        assert c._knots == ((R(0), R(0)), (ell, ell))
+        assert_canonical(c)
+    f, g = compose(b, a.inverse()), a
+    c = compose(f, g)
+    assert c == b == ref_compose(f, g)
+    assert set(g.breakpoints) - set(c.breakpoints)
+    assert_canonical(c)
+    f, g = b, compose(b.inverse(), a)
+    c = compose(f, g)
+    assert c == a == ref_compose(f, g)
+    assert {g.inverse()(x) for x in f.breakpoints} - set(c.breakpoints)
+    assert_canonical(c)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_composites_survive_copy_and_pickle(family):
+    a, b, c = FAMILIES[family]
+    for m in (compose(a, b), compose(compose(b, c.inverse()), a), compose(a, a.inverse())):
+        for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert clone == m and hash(clone) == hash(m)
+            assert clone._knots == m._knots
+            assert_canonical(clone)
+            assert compose(clone, m.inverse()).is_identity
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
