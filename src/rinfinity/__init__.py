@@ -11,8 +11,10 @@ Modules:
 - braids: braid words, decided by free and handle reduction.
 - braided: braided paired tree diagrams and the braided Thompson groups
   they form.
-- lodha_moore: the four Lodha-Moore groups as transducer words, with
-  depth-bounded equality and characters.
+- lodha_moore: the four Lodha-Moore groups as transducer words and as
+  exact piecewise-Moebius maps of [0, inf]: equal maps decide equality
+  exactly, and words whose maps differ get a depth-bounded search for a
+  witness input; characters.
 - intlinalg: Smith normal form, lattice quotients, and finitely generated
   abelian groups with automorphisms.
 - finite_groups: the groups of order <= 16 as multiplication tables,

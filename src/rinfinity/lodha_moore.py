@@ -13,22 +13,42 @@ defining relations are read off one table in `relation_suite`, which
 skips an instance for the reason the table gives or for a y-letter the
 variant does not allow.
 
-Each letter is a small sequential transducer, and a word is the pipeline
-of its letters.  A letter's state is an int (the number of address bits
-matched so far), then (sign, bits read) inside a case of the rule table
-`_CASES`, which buffers at most two input bits, and None once the letter is
-the identity for good.  Prefix evaluation streams bits through the
-pipeline; the depth-bounded equality test explores the product of two
-pipelines over all inputs with d branching bits followed by one of the
-periodic tails 0^w, 1^w, (10)^w, sharing states across inputs.  A
-`distinct` verdict always carries a concrete witness input; the positive
-verdict is only "indistinguishable at this depth".
+Exact model.  The coding Phi(0a) = Phi(a)/(1+Phi(a)), Phi(1a) = 1+Phi(a)
+maps the Cantor set onto [0, inf] (Phi(0^w) = 0, Phi(1^w) = inf) and is
+one-to-one except that s01^w and s10^w share a point.  The chart of the
+address s = s_1...s_k is C_s = c_{s_1} o ... o c_{s_k} with
+c_0 = [[1,0],[1,1]] and c_1 = [[1,1],[0,1]], and the cylinder at s codes
+the interval I_s = [C_s(0), C_s(inf)].  Through Phi, x is the map with
+the matrices [[1,0],[-1,1]], [[3,-1],[1,0]], [[1,1],[0,1]] on [0,1/2],
+[1/2,1], [1,inf]; x^-1 has [[1,0],[1,1]], [[0,1],[-1,3]], [[1,-1],[0,1]]
+on [0,1], [1,2], [2,inf]; and y^{+-1} is [[2,0],[0,1]] or [[1,0],[0,2]]
+(t -> 2t or t/2).  A letter at address s is C_s M C_s^-1 on I_s and the
+identity elsewhere, so `word_map` turns a word into a piecewise-Moebius
+map of [0, inf] with integer matrices and rational breakpoints, kept
+canonical so that equal maps are equal tuples.  Equal maps mean the words
+act alike off a countable set, hence everywhere, since the set where two
+homeomorphisms of the Cantor set differ is open.
+
+Each letter is also a small sequential transducer, and a word is the
+pipeline of its letters.  A letter's state is an int (the number of
+address bits matched so far), then (sign, bits read) inside a case of the
+rule table `_CASES`, which buffers at most two input bits, and None once
+the letter is the identity for good.  Prefix evaluation streams bits
+through the pipeline.  `equal_up_to_depth` first compares the two words'
+maps: equal maps give an exact "not distinct" verdict.  Otherwise it
+explores the product of two pipelines over all inputs with d branching
+bits followed by one of the periodic tails 0^w, 1^w, (10)^w, sharing
+states across inputs.  A `distinct` verdict always carries a concrete
+witness input; without one, words whose maps differ get only the
+depth-bounded verdict "indistinguishable at this depth".
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd
 
 from .numbers import ParseError
 
@@ -236,6 +256,116 @@ def x_image_of_address(s: Bits, t: Bits) -> Bits | None:
     return None
 
 
+# --- piecewise-Moebius maps of [0, inf] -------------------------------------
+
+# A point p/q of [0, inf] is the reduced pair (p, q) with q >= 0; inf is
+# (1, 0).  A matrix (a, b, c, d) acts as t -> (a t + b)/(c t + d) and is
+# divided by the gcd of its entries, with its first nonzero entry positive.
+# A map is a tuple of pieces (end, image, matrix): the matrix acts from the
+# previous piece's end (0 for the first) to its own end, which it sends to
+# image; the last end is inf, and adjacent pieces have different matrices.
+Point = tuple[int, int]
+Matrix = tuple[int, int, int, int]
+PiecewiseMap = tuple[tuple[Point, Point, Matrix], ...]
+
+ZERO: Point = (0, 1)
+INFINITY: Point = (1, 0)
+IDENTITY: Matrix = (1, 0, 0, 1)
+IDENTITY_MAP: PiecewiseMap = ((INFINITY, INFINITY, IDENTITY),)
+
+_CHARTS = ((1, 0, 1, 1), (1, 1, 0, 1))  # c_0: t/(1+t), c_1: 1+t
+
+# The pieces (end, matrix) of x^sign and y^sign at the empty address.
+_LETTER_PIECES = {
+    ("x", 1): (((1, 2), (1, 0, -1, 1)), ((1, 1), (3, -1, 1, 0)), (INFINITY, (1, 1, 0, 1))),
+    ("x", -1): (((1, 1), (1, 0, 1, 1)), ((2, 1), (0, 1, -1, 3)), (INFINITY, (1, -1, 0, 1))),
+    ("y", 1): ((INFINITY, (2, 0, 0, 1)),),
+    ("y", -1): ((INFINITY, (1, 0, 0, 2)),),
+}
+
+
+def _mul(m: Matrix, n: Matrix) -> Matrix:
+    a, b, c, d = m
+    e, f, g, h = n
+    a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    k = gcd(a, b, c, d)
+    if (a or b) < 0:
+        k = -k
+    return a // k, b // k, c // k, d // k
+
+
+def _image(m: Matrix, point: Point) -> Point:
+    a, b, c, d = m
+    p, q = point
+    p, q = a * p + b * q, c * p + d * q
+    k = gcd(p, q)
+    if (q or p) < 0:
+        k = -k
+    return p // k, q // k
+
+
+@lru_cache(maxsize=4096)
+def _letter_map(kind: str, address: Bits, sign: int) -> PiecewiseMap:
+    chart = IDENTITY
+    for bit in address:
+        chart = _mul(chart, _CHARTS[bit])
+    a, b, c, d = chart
+    inverse = (d, -b, -c, a)  # charts have determinant 1
+    low = _image(chart, ZERO)
+    pieces = [(low, low, IDENTITY)] if low != ZERO else []
+    for end, m in _LETTER_PIECES[kind, sign]:
+        m = _mul(_mul(chart, m), inverse)
+        end = _image(chart, end)
+        pieces.append((end, _image(m, end), m))
+    if pieces[-1][0] != INFINITY:
+        pieces.append((INFINITY, INFINITY, IDENTITY))
+    return tuple(pieces)
+
+
+def _after(outer: PiecewiseMap, inner: PiecewiseMap) -> PiecewiseMap:
+    """outer o inner: cut each piece of inner where its image crosses an end
+    of a piece of outer, merging equal neighbours as they are made."""
+    out: list[tuple[Point, Point, Matrix]] = []
+    last = len(outer) - 1
+    j = 0
+    cut, cut_image, m = outer[0]
+    for end, image, n in inner:
+        p, q = image
+        while cut[0] * q < p * cut[1]:
+            a, b, c, d = n
+            mn = n if m == IDENTITY else _mul(m, n)
+            point = _image((d, -b, -c, a), cut)
+            if out and out[-1][2] == mn:
+                out[-1] = (point, cut_image, mn)
+            else:
+                out.append((point, cut_image, mn))
+            j += 1
+            cut, cut_image, m = outer[j]
+        if m == IDENTITY:
+            mn = n
+        else:
+            mn = _mul(m, n)
+            image = _image(m, image)
+        if out and out[-1][2] == mn:
+            out[-1] = (end, image, mn)
+        else:
+            out.append((end, image, mn))
+        if cut[0] * q == p * cut[1] and j < last:
+            j += 1
+            cut, cut_image, m = outer[j]
+    return tuple(out)
+
+
+def word_map(word: LMWord) -> PiecewiseMap:
+    """The canonical piecewise-Moebius map of [0, inf] that the word induces
+    through Phi; two words are equal in the group exactly when their maps
+    are equal."""
+    pieces = IDENTITY_MAP
+    for letter in reversed(word.letters):
+        pieces = _after(_letter_map(letter.kind, letter.address, letter.sign), pieces)
+    return pieces
+
+
 # --- depth-bounded equality ---------------------------------------------
 
 
@@ -257,9 +387,15 @@ class Witness:
 
 @dataclass(frozen=True)
 class DepthVerdict:
+    """The verdict of `equal_up_to_depth`.  A distinct verdict carries its
+    witness.  Otherwise the words agree on every input tried at this depth,
+    and only a verdict with `exact` set, reached because the two words give
+    the same `word_map`, is an exact "equal"."""
+
     distinct: bool
     depth: int
     witness: Witness | None = None
+    exact: bool = False
 
     def __bool__(self) -> bool:  # truthy = indistinguishable
         return not self.distinct
@@ -279,11 +415,19 @@ def _certify(w1: LMWord, w2: LMWord, prefix: Bits, tail: str) -> Witness:
 
 
 def equal_up_to_depth(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
+    """Equal `word_map`s give the exact verdict "not distinct" (`exact` set)
+    at once; otherwise `_search` looks for a witness at depth d."""
+    if d < 1:
+        raise ValueError("depth must be >= 1")
+    if word_map(w1) == word_map(w2):
+        return DepthVerdict(False, d, exact=True)
+    return _search(w1, w2, d)
+
+
+def _search(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
     """Compare the actions on every input with d free bits followed by one
     of the tails 0^w, 1^w, (10)^w.  Product states are shared between
     inputs, so the cost is the size of the product automaton, not 2^d."""
-    if d < 1:
-        raise ValueError("depth must be >= 1")
     m1, m2 = WordMachine(w1), WordMachine(w2)
     start = (m1.initial, m2.initial, (), ())
 

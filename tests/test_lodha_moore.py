@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,7 @@ from rinfinity.lodha_moore import (
     parse_word,
     quotient_image,
     relation_suite,
+    word_map,
     x_image_of_address,
     y_address_allowed,
 )
@@ -391,3 +394,160 @@ def test_evaluate_prefix_matches_case_rule_oracle():
             k = min(len(bits), 40)
             assert k >= 1
             assert evaluate_prefix(w, s, k) == tuple(map(int, bits[:k])), (str(w), str(s))
+
+
+# --- the piecewise-Moebius model ---------------------------------------------
+
+
+def phi(prefix, tail_bit):
+    """Phi(prefix tail_bit^w) in Fractions, with math.inf for inf."""
+    t = Fraction(0) if tail_bit == 0 else math.inf
+    for bit in reversed(prefix):
+        if bit:
+            t = t + 1
+        else:
+            t = Fraction(1) if t == math.inf else t / (1 + t)
+    return t
+
+
+def as_number(point):
+    p, q = point
+    return Fraction(p, q) if q else math.inf
+
+
+def moebius(matrix, t):
+    a, b, c, d = matrix
+    if t == math.inf:
+        return Fraction(a, c) if c else math.inf
+    den = c * t + d
+    return (a * t + b) / den if den else math.inf
+
+
+def map_at(pieces, t):
+    for end, _, matrix in pieces:
+        if t <= as_number(end):
+            return moebius(matrix, t)
+    raise AssertionError("the last piece ends at inf")
+
+
+def assert_canonical(pieces):
+    start, start_image = Fraction(0), Fraction(0)
+    previous = None
+    for end, image, matrix in pieces:
+        p, q = end
+        assert q >= 0 and math.gcd(p, q) == 1 and (q or p) > 0
+        assert math.gcd(*matrix) == 1 and (matrix[0] or matrix[1]) > 0
+        assert matrix != previous
+        assert start < as_number(end)
+        assert moebius(matrix, start) == start_image
+        assert moebius(matrix, as_number(end)) == as_number(image)
+        start, start_image, previous = as_number(end), as_number(image), matrix
+    assert pieces[-1][:2] == (lodha_moore.INFINITY, lodha_moore.INFINITY)
+
+
+def random_word(rng, variant, max_letters, max_address):
+    addresses = all_addresses(max_address)
+    y_addresses = [a for a in addresses if y_address_allowed(a, variant)]
+    letters = []
+    for _ in range(rng.randint(1, max_letters)):
+        kind = rng.choice("xy")
+        addr = rng.choice(y_addresses if kind == "y" else addresses)
+        letters.append(LMLetter(kind, addr, rng.choice((1, -1))))
+    return W(*letters, variant=variant)
+
+
+def test_word_map_matches_evaluate_prefix():
+    # The exact image of a rational point lies in the closed cylinder
+    # interval of every prefix of the transducer's output.
+    rng = random.Random(113)
+    for variant in VARIANTS:
+        for _ in range(30):
+            w = random_word(rng, variant, 8, 3)
+            pieces = word_map(w)
+            assert_canonical(pieces)
+            for _ in range(4):
+                prefix = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
+                tail_bit = rng.randint(0, 1)
+                image = map_at(pieces, phi(prefix, tail_bit))
+                out = evaluate_prefix(w, EventuallyPeriodicSeq(prefix, (tail_bit,)), 16)
+                for j in range(1, 17):
+                    assert phi(out[:j], 0) <= image <= phi(out[:j], 1), (str(w), prefix, j)
+
+
+def test_relations_give_equal_maps():
+    for variant in VARIANTS:
+        for s in all_addresses(2):
+            for t in all_addresses(2):
+                for rel, lhs, rhs in _relator_words(s, t, variant):
+                    assert word_map(lhs) == word_map(rhs), (variant, rel, s, t)
+
+
+def test_letter_times_inverse_is_the_identity_map():
+    assert word_map(W()) == lodha_moore.IDENTITY_MAP
+    for addr in all_addresses(3):
+        for kind in "xy":
+            letter = LMLetter(kind, addr)
+            assert word_map(W(letter, letter.inverse())) == lodha_moore.IDENTITY_MAP
+            assert word_map(W(letter.inverse(), letter)) == lodha_moore.IDENTITY_MAP
+            assert word_map(W(letter)) != lodha_moore.IDENTITY_MAP
+
+
+def verdict_pairs(rng, variant):
+    """Equal pairs (a relator or a cancelling pair inserted), distinct pairs
+    (one more letter) and pairs that differ only past small depths."""
+    relators = [
+        lhs * rhs.inverse()
+        for s in all_addresses(1)
+        for t in all_addresses(1)
+        for _, lhs, rhs in _relator_words(s, t, variant)
+    ]
+    pairs = []
+    for _ in range(3):
+        w = random_word(rng, variant, 5, 2)
+        cut = rng.randint(0, len(w.letters))
+        u = random_word(rng, variant, 2, 2)
+        piece = rng.choice((rng.choice(relators), u * u.inverse()))
+        inserted = LMWord(w.letters[:cut] + piece.letters + w.letters[cut:], variant)
+        pairs.append((w, inserted, True))
+        pairs.append((w, w * random_word(rng, variant, 1, 2), False))
+    pairs.append((W(Y(1, 0, 1), variant=variant), W(variant=variant), False))
+    if variant == "yGy":
+        pairs.append((W(Y(0, 0, 0)), W(), False))
+        pairs.append((W(Y()), W(Y(), Y(0, 0)), False))
+    return pairs
+
+
+def test_verdicts_match_the_search():
+    rng = random.Random(127)
+    for variant in VARIANTS:
+        for w1, w2, equal in verdict_pairs(rng, variant):
+            for d in range(1, 13):
+                fast = equal_up_to_depth(w1, w2, d)
+                slow = lodha_moore._search(w1, w2, d)
+                assert (fast.distinct, fast.witness) == (slow.distinct, slow.witness)
+                assert fast.depth == slow.depth == d
+                assert fast.exact == equal and not slow.exact
+                if equal:
+                    assert not fast.distinct
+
+
+def test_equal_pairs_never_push(monkeypatch):
+    def push(self, states, bit):
+        raise AssertionError("an equal pair ran the transducer search")
+
+    monkeypatch.setattr(lodha_moore.WordMachine, "push", push)
+    rng = random.Random(131)
+    for variant in VARIANTS:
+        for w1, w2, equal in verdict_pairs(rng, variant):
+            if equal:
+                assert equal_up_to_depth(w1, w2, 12).exact
+        for s in all_addresses(2):
+            for t in all_addresses(2):
+                checks = relation_suite(s, t, 12, variant)
+                assert {c.status for c in checks} <= {"pass", "skipped"}
+    long_word = random_word(random.Random(137), "yGy", 1, 3)
+    while len(long_word.letters) < 40:
+        long_word = long_word * random_word(rng, "yGy", 1, 3)
+    assert equal_up_to_depth(long_word, long_word, 20) == lodha_moore.DepthVerdict(
+        False, 20, exact=True
+    )
