@@ -1,6 +1,7 @@
 """Exact computational toolkit for Thompson-like groups.
 
-Modules:
+`ParseError` is defined here, so that a module can parse its literals
+without importing `numbers`.  Modules:
 
 - numbers: exact arithmetic in Q and Q(sqrt5), and the additive and
   multiplicative subgroups of R that PL groups are built from.
@@ -26,3 +27,12 @@ Everything computes exactly; there is no floating point in any kernel.
 """
 
 __version__ = "0.1.0"
+
+
+class ParseError(ValueError):
+    """Malformed literal; carries the offending position."""
+
+    def __init__(self, message: str, text: str, pos: int) -> None:
+        super().__init__(f"{message} at position {pos}: {text!r}")
+        self.text = text
+        self.pos = pos

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, braid_equal, cable, delete_strand, format_braid, parse_braid
-from .numbers import ParseError
+from . import ParseError
+from .braids import BraidWord, braid_equal, cable, format_braid, parse_braid
 from .treepairs import (
     CARET,
     LEAF,
@@ -24,11 +24,9 @@ from .treepairs import (
     TreePair,
     _graft,
     _growth,
-    collapse_caret,
     format_tree,
     parse_tree,
     right_vine,
-    sibling_leaf_pairs,
 )
 
 
@@ -90,32 +88,6 @@ def multiply(d1: BraidedDiagram, d2: BraidedDiagram) -> BraidedDiagram:
     for leaf, subtree in reversed(grow2):
         d2 = expansion(d2, leaf, subtree)
     return BraidedDiagram(d1.minus, d1.braid * d2.braid, d2.plus)
-
-
-def try_reduce(d: BraidedDiagram) -> BraidedDiagram:
-    """Greedily reverse expansions: a caret pair is removable when its two
-    strands are parallel (deleting one and re-cabling reproduces the braid
-    up to braid equality).  Sound, not claimed complete."""
-    changed = True
-    while changed:
-        changed = False
-        perm = d.braid.permutation()
-        minus_pairs = sibling_leaf_pairs(d.minus)
-        plus_pairs = set(sibling_leaf_pairs(d.plus))
-        for i in minus_pairs:
-            j = perm[i - 1]
-            if perm[i] != j + 1 or j not in plus_pairs:
-                continue
-            candidate = delete_strand(d.braid, i + 1)
-            if braid_equal(cable(candidate, i), d.braid):
-                d = BraidedDiagram(
-                    collapse_caret(d.minus, i),
-                    candidate,
-                    collapse_caret(d.plus, j),
-                )
-                changed = True
-                break
-    return d
 
 
 def is_identity(d: BraidedDiagram) -> bool:

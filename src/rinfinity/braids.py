@@ -20,10 +20,10 @@ implementation bugs: breaching it raises, never lies.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .numbers import ParseError
+from . import ParseError
 
 
 class HandleReductionCap(RuntimeError):
@@ -84,18 +84,6 @@ class BraidWord:
             counts[key] = counts.get(key, 0) + (1 if l > 0 else -1)
             pos[i - 1], pos[i] = b, a
         return {k: v for k, v in counts.items() if v}
-
-    def linking_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Half the signed crossing counts; integral on pure braids."""
-        counts = self.crossing_counts()
-        half = Fraction(1, 2)
-
-        def entry(i: int, j: int) -> Fraction:
-            if i == j:
-                return Fraction(0)
-            return half * counts.get((min(i, j), max(i, j)), 0)
-
-        return tuple(tuple(entry(i, j) for j in range(1, self.n + 1)) for i in range(1, self.n + 1))
 
     def __str__(self) -> str:
         return format_braid(self)
@@ -177,11 +165,6 @@ def _block_cross(base: int, u: int, v: int, sign: int) -> list[int]:
     return [-(l) for l in reversed(_block_cross(base, v, u, 1))]
 
 
-def _follow(p: int, i: int) -> int:
-    """Position after the crossing sigma_i of the strand at position p."""
-    return i + 1 if p == i else i if p == i + 1 else p
-
-
 def cable(b: BraidWord, strand: int, width: int = 2) -> BraidWord:
     """Replace the strand with the given start position by `width` parallel
     strands, 2 by default, rewriting each crossing as a block crossing."""
@@ -195,23 +178,8 @@ def cable(b: BraidWord, strand: int, width: int = 2) -> BraidWord:
         i = abs(l)
         u, v = (width if p == i else 1), (width if p == i + 1 else 1)
         out.extend(_block_cross(i + width - 1 if p < i else i, u, v, 1 if l > 0 else -1))
-        p = _follow(p, i)
+        p = i + 1 if p == i else i if p == i + 1 else p
     return BraidWord(b.n + width - 1, tuple(out))
-
-
-def delete_strand(b: BraidWord, strand: int) -> BraidWord:
-    """Forget the strand with the given start position; crossings through
-    it disappear and the other letters shift accordingly."""
-    if not 1 <= strand <= b.n:
-        raise ValueError(f"strand {strand} out of range")
-    p = strand  # current position of the deleted strand
-    out: list[int] = []
-    for l in b.letters:
-        i = abs(l)
-        if p not in (i, i + 1):
-            out.append((i - 1 if p < i else i) * (1 if l > 0 else -1))
-        p = _follow(p, i)
-    return BraidWord(b.n - 1, tuple(out))
 
 
 def format_braid(b: BraidWord) -> str:
@@ -222,20 +190,16 @@ def format_braid(b: BraidWord) -> str:
 
 def parse_braid(text: str, n: int) -> BraidWord:
     """Parse words like `s1 s2' s1`; `e` is the empty word."""
-    letters: list[int] = []
-    stripped = text.strip()
-    if stripped in ("", "e"):
+    if text.strip() in ("", "e"):
         return BraidWord(n)
-    pos = 0
-    for token in stripped.split():
-        if not token.startswith("s"):
-            raise ParseError(f"bad braid token {token!r}", text, pos)
+    letters: list[int] = []
+    for found in re.finditer(r"\S+", text):
+        token = found.group()
         body = token[1:]
         inv = body.endswith("'")
         if inv:
             body = body[:-1]
-        if not body.isdigit() or int(body) < 1:
-            raise ParseError(f"bad braid token {token!r}", text, pos)
+        if not token.startswith("s") or not body.isdigit() or int(body) < 1:
+            raise ParseError(f"bad braid token {token!r}", text, found.start())
         letters.append(-int(body) if inv else int(body))
-        pos += len(token) + 1
     return BraidWord(n, tuple(letters))

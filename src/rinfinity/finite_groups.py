@@ -485,71 +485,3 @@ def twisted_classes(g: FiniteGroup, phi) -> tuple[int, list[list[int]]]:
                     stack.append(b)
         classes.append(sorted(orbit))
     return len(classes), classes
-
-
-def reidemeister_number_finite(g: FiniteGroup, phi) -> int:
-    return twisted_classes(g, phi)[0]
-
-
-def fixed_points(g: FiniteGroup, phi) -> list[int]:
-    return [a for a in range(g.order) if phi[a] == a]
-
-
-def all_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup, grown by closing known subgroups with one element."""
-    n = g.order
-    found: set[frozenset[int]] = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        h = frontier.pop()
-        for a in range(1, n):
-            if a in h:
-                continue
-            closure = frozenset(g.subgroup_closure(list(h) + [a]))
-            if closure not in found:
-                found.add(closure)
-                frontier.append(closure)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def is_normal(g: FiniteGroup, h: frozenset[int]) -> bool:
-    return all(
-        g.mul(g.mul(a, x), g.inverses[a]) in h for a in range(g.order) for x in h
-    )
-
-
-def quotient_group(g: FiniteGroup, h: frozenset[int]) -> tuple[FiniteGroup, list[int]]:
-    """(G/H, coset index of each element); H must be normal.  The
-    identity coset is coset 0, since the identity 0 is visited first."""
-    n = g.order
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for a in range(n):
-        if coset_of[a] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(a)
-        for x in h:
-            coset_of[g.mul(a, x)] = idx
-    m = len(reps)
-    table = [0] * (m * m)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i * m + j] = coset_of[g.mul(a, b)]
-    return FiniteGroup(f"{g.name}/|{len(h)}|", tuple(table)), coset_of
-
-
-def induced_automorphism(g: FiniteGroup, phi, h: frozenset[int]) -> tuple[int, ...] | None:
-    """The automorphism on G/H induced by phi, or None if phi(H) != H."""
-    if any(phi[x] not in h for x in h):
-        return None
-    _, coset_of = quotient_group(g, h)
-    m = max(coset_of) + 1
-    induced = [-1] * m
-    for a in range(g.order):
-        c, ic = coset_of[a], coset_of[phi[a]]
-        if induced[c] == -1:
-            induced[c] = ic
-        elif induced[c] != ic:
-            raise AssertionError("induced map is not well defined")
-    return tuple(induced)

@@ -78,32 +78,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("determinant of non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "]"
 
@@ -317,14 +291,6 @@ class FGAbelianGroup:
 
     def contains_in_relator_span(self, vec: tuple[int, ...]) -> bool:
         return self.decomposition.solve(vec) is not None
-
-    def element_key(self, vec) -> tuple:
-        """Canonical form of an element: coordinates in the Smith basis,
-        reduced modulo the invariant factors."""
-        snf = self.decomposition
-        c = snf.u.apply(tuple(vec))
-        d = snf.diagonal
-        return tuple(ci % d[i] if i < len(d) and d[i] != 0 else ci for i, ci in enumerate(c))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,10 @@ itself on each branch (0y(a), 10y^-1(a), 11y(a)); x_s and y_t act inside
 the cylinder at the finite address s and fix everything else.  Words act
 rightmost letter first.  The variants G, yG, Gy, yGy differ only in the
 ends (0...0, 1...1) at which they have y-letters; `_Y_ENDS` records them,
-and the allowed y-addresses, the domain of each character chi_b / psi_b
-and the pair `quotient_image` uses are all read off it.  The five
-defining relations are read off one table in `relation_suite`, which
-skips an instance for the reason the table gives or for a y-letter the
-variant does not allow.
+and the allowed y-addresses and the domain of each character chi_b / psi_b
+are read off it.  The five defining relations are read off one table in
+`relation_suite`, which skips an instance for the reason the table gives
+or for a y-letter the variant does not allow.
 
 Exact model.  The coding Phi(0a) = Phi(a)/(1+Phi(a)), Phi(1a) = 1+Phi(a)
 maps the Cantor set onto [0, inf] (Phi(0^w) = 0, Phi(1^w) = inf) and is
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .numbers import ParseError
+from . import ParseError
 
 Bits = tuple[int, ...]
 
@@ -533,25 +532,20 @@ def relation_suite(s: Bits, t: Bits, d: int, variant: str = "yGy") -> list[Relat
 # --- characters -----------------------------------------------------------
 
 # Each character sums weight * sign over the letters of one kind whose
-# address is constant at one end; the last entry is its sign in
-# `quotient_image`.  chi_b is defined where the variant has no y-letters at
-# end b, psi_b where it has.
+# address is constant at one end.  chi_b is defined where the variant has
+# no y-letters at end b, psi_b where it has.
 _CHARACTER_RULES = {
-    "chi0": ("x", 0, -1, 1),
-    "chi1": ("x", 1, 1, 1),
-    "psi0": ("y", 0, 1, 1),
-    "psi1": ("y", 1, 1, -1),
+    "chi0": ("x", 0, -1),
+    "chi1": ("x", 1, 1),
+    "psi0": ("y", 0, 1),
+    "psi1": ("y", 1, 1),
 }
 CHARACTERS = tuple(_CHARACTER_RULES)
 
 
-def _character_at(end: int, variant: str) -> str:
-    kind = "y" if end in _Y_ENDS[variant] else "x"
-    return next(n for n, rule in _CHARACTER_RULES.items() if rule[:2] == (kind, end))
-
-
 def _defined_on(name: str, variant: str) -> bool:
-    return name == _character_at(_CHARACTER_RULES[name][1], variant)
+    kind, end, _ = _CHARACTER_RULES[name]
+    return (kind == "y") == (end in _Y_ENDS[variant])
 
 
 def character_value(word: LMWord, name: str) -> int:
@@ -559,7 +553,7 @@ def character_value(word: LMWord, name: str) -> int:
         raise ValueError(f"unknown character {name!r}")
     if not _defined_on(name, word.variant):
         raise ValueError(f"character {name} is not defined on variant {word.variant}")
-    kind, end, weight, _ = _CHARACTER_RULES[name]
+    kind, end, weight = _CHARACTER_RULES[name]
     return weight * sum(
         l.sign for l in word.letters if l.kind == kind and is_constant(l.address, end)
     )
@@ -570,24 +564,19 @@ def characters(word: LMWord) -> dict[str, int]:
     return {n: character_value(word, n) for n in CHARACTERS if _defined_on(n, word.variant)}
 
 
-def quotient_image(word: LMWord) -> tuple[int, int]:
-    """Image in Z^2 under the characters defined at ends 0 and 1, with psi1
-    negated."""
-    names = (_character_at(end, word.variant) for end in (0, 1))
-    v0, v1 = (_CHARACTER_RULES[n][3] * character_value(word, n) for n in names)
-    return v0, v1
-
-
 # --- word literals --------------------------------------------------------
 
 _LM_TOKEN = re.compile(r"([xy])\((\d*)\)('?)")
 
 
 def parse_word(text: str, variant: str = "yGy") -> LMWord:
-    """Parse words like `x(011) y(01)' x()`; empty address = root."""
+    """Parse words like `x(011) y(01)' x()`; empty address = root.  `1`,
+    as `str` writes it, is the empty word."""
+    if text.strip() == "1":
+        return LMWord((), variant)
     letters = []
-    pos = 0
-    for token in text.split():
+    for found in re.finditer(r"\S+", text):
+        token, pos = found.group(), found.start()
         m = _LM_TOKEN.fullmatch(token)
         if not m:
             raise ParseError(f"bad letter {token!r}", text, pos)
@@ -595,9 +584,4 @@ def parse_word(text: str, variant: str = "yGy") -> LMWord:
             raise ParseError(f"bad address in {token!r}", text, pos)
         addr = tuple(int(c) for c in m.group(2))
         letters.append(LMLetter(m.group(1), addr, -1 if m.group(3) else 1))
-        pos += len(token) + 1
     return LMWord(tuple(letters), variant)
-
-
-def format_word(word: LMWord) -> str:
-    return " ".join(map(str, word.letters))

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-
-class ParseError(ValueError):
-    """Malformed literal; carries the offending position."""
-
-    def __init__(self, message: str, text: str, pos: int) -> None:
-        super().__init__(f"{message} at position {pos}: {text!r}")
-        self.text = text
-        self.pos = pos
+from . import ParseError
 
 
 def _exact_field(value) -> Fraction:
@@ -371,16 +364,6 @@ class AdditiveGroup:
             assert self.n is not None
             return pow(self.n, d.bit_length(), d) == 0
         return x.a.denominator == 1 and x.b.denominator == 1
-
-    def sample_elements(self) -> tuple[ExactNumber, ...]:
-        """Small test set used when checking closure conditions."""
-        if self.kind == "zinv":
-            assert self.n is not None
-            inv = ExactNumber.rational(1, self.n)
-            return (ONE, inv, inv * inv)
-        if self.kind == "ztau":
-            return (ONE, TAU)
-        return (ONE, ExactNumber.rational(1, 2), ExactNumber.rational(1, 3))
 
     def __str__(self) -> str:
         if self.kind == "zinv":

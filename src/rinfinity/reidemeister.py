@@ -1,6 +1,6 @@
 """Fixed-point and twisted-conjugacy machinery built on integer matrices:
 the character-invariance pipeline that certifies infinite fixed sets in
-abelianizations, and exact character independence.
+abelianizations.
 
 The heavy lifting on abelian groups (Smith normal form, fixed subgroups,
 twisted class counts) lives in intlinalg; the brute-force finite oracle
@@ -11,7 +11,7 @@ and re-exports the abelian ones for convenience.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf
+from math import gcd
 
 from .intlinalg import (
     AbelianAuto,
@@ -32,12 +32,12 @@ __all__ = [
     "IntMatrix",
     "CharacterData",
     "PipelineResult",
-    "character_independence",
     "fix_subgroup",
     "fixed_vector_certificate",
     "normalize_ray",
     "reidemeister_number_abelian",
     "smith_normal_form",
+    "swap_matrix",
 ]
 
 
@@ -127,13 +127,3 @@ def swap_matrix(chars: CharacterData) -> IntMatrix:
     p = IntMatrix.of([[0, 1], [1, 0]])
     # characters act as rows; M must satisfy c * M = p * c as functionals
     return inverse_unimodular(c) * p * c
-
-
-def character_independence(chars: CharacterData) -> tuple[int, bool]:
-    """Exact determinant of the character-value matrix and whether the
-    characters are linearly independent."""
-    m = IntMatrix.of(chars.vectors)
-    if m.nrows != m.ncols:
-        raise ValueError("need a square value matrix")
-    d = m.det()
-    return d, d != 0

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .numbers import ONE, AdditiveGroup, ExactNumber, ParseError, SlopeGroup
+from . import ParseError
+from .numbers import ONE, AdditiveGroup, ExactNumber, SlopeGroup
 from .plmaps import PLGroupSpec, PLMap, is_member
 
 
@@ -180,11 +181,6 @@ def _collapse(t: Tree, leaves: set[int]) -> Tree:
     if hits != len(leaves):
         raise ValueError("no caret at that leaf position")
     return built[0]
-
-
-def collapse_caret(t: Tree, leaf: int) -> Tree:
-    """Replace the caret whose leaves are (leaf, leaf+1) by a leaf."""
-    return _collapse(t, {leaf})
 
 
 def sibling_leaf_pairs(t: Tree) -> list[int]:

@@ -8,20 +8,14 @@ from rinfinity import finite_groups
 from rinfinity.finite_groups import (
     FiniteGroup,
     abelian_group,
-    all_subgroups,
     alternating4,
     automorphisms,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
-    fixed_points,
-    induced_automorphism,
     is_automorphism,
-    is_normal,
     pauli_group,
-    quotient_group,
-    reidemeister_number_finite,
     semidirect_cyclic,
     small_groups_up_to_16,
     swap_action_group,
@@ -300,8 +294,65 @@ def test_fixed_points_vs_reidemeister_folklore():
     # |Fix| = 1 iff R = 1, spot-checked on one nonabelian example here.
     g = dihedral(3)
     for phi in automorphisms(g):
-        r = reidemeister_number_finite(g, phi)
-        assert (r == 1) == (len(fixed_points(g, phi)) == 1)
+        r, _ = twisted_classes(g, phi)
+        fixed = [a for a in range(g.order) if phi[a] == a]
+        assert (r == 1) == (len(fixed) == 1)
+
+
+# Subgroups, quotients and induced automorphisms: the oracles of the
+# monotonicity test R(phi) >= R(induced phi) below.
+
+
+def all_subgroups(g):
+    """Every subgroup, grown by closing known subgroups with one element."""
+    found = {frozenset({0})}
+    frontier = [frozenset({0})]
+    while frontier:
+        h = frontier.pop()
+        for a in range(1, g.order):
+            if a in h:
+                continue
+            closure = frozenset(g.subgroup_closure(list(h) + [a]))
+            if closure not in found:
+                found.add(closure)
+                frontier.append(closure)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def is_normal(g, h):
+    return all(g.mul(g.mul(a, x), g.inverses[a]) in h for a in range(g.order) for x in h)
+
+
+def quotient_group(g, h):
+    """(G/H, coset index of each element); H must be normal.  The
+    identity coset is coset 0, since the identity 0 is visited first."""
+    coset_of = [-1] * g.order
+    reps = []
+    for a in range(g.order):
+        if coset_of[a] >= 0:
+            continue
+        for x in h:
+            coset_of[g.mul(a, x)] = len(reps)
+        reps.append(a)
+    m = len(reps)
+    table = [0] * (m * m)
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            table[i * m + j] = coset_of[g.mul(a, b)]
+    return FiniteGroup(f"{g.name}/|{len(h)}|", tuple(table)), coset_of
+
+
+def induced_automorphism(g, phi, h):
+    """The automorphism on G/H induced by phi, or None if phi(H) != H."""
+    if any(phi[x] not in h for x in h):
+        return None
+    _, coset_of = quotient_group(g, h)
+    induced = [-1] * (max(coset_of) + 1)
+    for a in range(g.order):
+        c, ic = coset_of[a], coset_of[phi[a]]
+        assert induced[c] in (-1, ic), "induced map is not well defined"
+        induced[c] = ic
+    return tuple(induced)
 
 
 def test_subgroups_of_q8_and_c2c2():
@@ -327,10 +378,10 @@ def test_induced_automorphism_and_monotonicity():
     autos = automorphisms(g)
     normals = [h for h in all_subgroups(g) if is_normal(g, h)]
     for phi in autos:
-        r_phi = reidemeister_number_finite(g, phi)
+        r_phi, _ = twisted_classes(g, phi)
         for h in normals:
             induced = induced_automorphism(g, phi, h)
             if induced is None:
                 continue
             q, _ = quotient_group(g, h)
-            assert r_phi >= reidemeister_number_finite(q, induced)
+            assert r_phi >= twisted_classes(q, induced)[0]

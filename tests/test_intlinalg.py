@@ -2,6 +2,10 @@ import random
 from math import inf
 
 import pytest
+import sympy
+from sympy import ZZ
+from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from rinfinity import intlinalg
 from rinfinity.intlinalg import (
@@ -17,6 +21,16 @@ from rinfinity.intlinalg import (
     reidemeister_number_abelian,
     smith_normal_form,
 )
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by sympy, over its integer domain ZZ."""
+    return int(DomainMatrix.from_list(m.rows, ZZ).det())
+
+
+def same_element(group: FGAbelianGroup, x, y) -> bool:
+    """Whether x and y are one element of Z^n / relators."""
+    return group.contains_in_relator_span(tuple(a - b for a, b in zip(x, y)))
 
 
 def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
@@ -153,8 +167,8 @@ def test_snf_random_certified():
         mat = random_matrix(rng, n, m)
         snf = smith_normal_form(mat)
         assert snf.u * mat * snf.v == snf.s
-        assert abs(snf.u.det()) == 1
-        assert abs(snf.v.det()) == 1
+        assert abs(det(snf.u)) == 1
+        assert abs(det(snf.v)) == 1
         d = snf.diagonal
         for i in range(len(d) - 1):
             if d[i + 1] != 0:
@@ -192,9 +206,6 @@ def test_inverse_unimodular():
 
 
 def test_snf_diagonal_matches_sympy_invariant_factors():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors
-
     rng = random.Random(23)
     for trial in range(300):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
@@ -265,8 +276,8 @@ def test_fix_on_torsion_group():
     neg = AbelianAuto(grp, IntMatrix.of([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]))
     fixed = fix_subgroup(neg)
     assert fixed.order == 2
-    keys = {grp.element_key(g) for g in fixed.generators}
-    assert keys == {grp.element_key((1, 0, 0))}
+    assert fixed.generators
+    assert all(same_element(grp, g, (1, 0, 0)) for g in fixed.generators)
 
 
 def random_abelian_auto(rng):
@@ -298,7 +309,8 @@ def test_fix_generators_are_fixed_and_nonzero():
     z4 = FGAbelianGroup.from_relator_columns(1, [(4,)])
     fixed = fix_subgroup(AbelianAuto(z4, IntMatrix.of([[-1]])))
     assert fixed.order == 2
-    assert {z4.element_key(g) for g in fixed.generators} == {z4.element_key((2,))}
+    assert fixed.generators
+    assert all(same_element(z4, g, (2,)) for g in fixed.generators)
     rng = random.Random(29)
     for _ in range(300):
         auto = random_abelian_auto(rng)
@@ -362,7 +374,7 @@ def test_fix_infinite_iff_reidemeister_infinite():
         assert (r == inf) == (f == inf)
         if r != inf:
             # finite case: |coker(M - I)| = |det(M - I)|
-            assert r == abs((m - IntMatrix.identity(n)).det())
+            assert r == abs(det(m - IntMatrix.identity(n)))
         checked += 1
 
 

@@ -1,11 +1,15 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rinfinity import lodha_moore
+import rinfinity
+from rinfinity import ParseError, lodha_moore, treepairs
 from rinfinity.lodha_moore import (
     ONES,
     TAILS,
@@ -18,14 +22,13 @@ from rinfinity.lodha_moore import (
     characters,
     equal_up_to_depth,
     evaluate_prefix,
-    format_word,
     parse_word,
-    quotient_image,
     relation_suite,
     word_map,
     x_image_of_address,
     y_address_allowed,
 )
+from rinfinity.treepairs import LEAF, TreePair, caret, f_characters, parse_tree
 
 X = lambda *a: LMLetter("x", tuple(a))
 Xi = lambda *a: LMLetter("x", tuple(a), -1)
@@ -292,15 +295,19 @@ def _relator_words(s, t, variant):
     return out
 
 
+# The quotient image of a word: its values under the two characters
+# defined at the ends 0 and 1.
+
+
 def test_quotient_image_generators():
-    assert quotient_image(LMWord((X(0),), "G")) == (-1, 0)
-    assert quotient_image(LMWord((X(1),), "G")) == (0, 1)
-    assert quotient_image(LMWord((X(),), "G")) == (-1, 1)
+    assert characters(LMWord((X(0),), "G")) == {"chi0": -1, "chi1": 0}
+    assert characters(LMWord((X(1),), "G")) == {"chi0": 0, "chi1": 1}
+    assert characters(LMWord((X(),), "G")) == {"chi0": -1, "chi1": 1}
     for n in range(1, 6):
-        assert quotient_image(LMWord((X(*([0] * n)),), "G")) == (-1, 0)
-    assert quotient_image(LMWord((Y(0), X(1)), "yG")) == (1, 1)
-    assert quotient_image(LMWord((Y(1),), "Gy")) == (0, -1)
-    assert quotient_image(LMWord((Y(0), Y(1)), "yGy")) == (1, -1)
+        assert characters(LMWord((X(*([0] * n)),), "G")) == {"chi0": -1, "chi1": 0}
+    assert characters(LMWord((Y(0), X(1)), "yG")) == {"psi0": 1, "chi1": 1}
+    assert characters(LMWord((Y(1),), "Gy")) == {"chi0": 0, "psi1": 1}
+    assert characters(LMWord((Y(0), Y(1)), "yGy")) == {"psi0": 1, "psi1": 1}
 
 
 def test_quotient_image_additive():
@@ -310,15 +317,52 @@ def test_quotient_image_additive():
         letters1 = [X(*addresses[rng.randrange(len(addresses))]) for _ in range(2)]
         letters2 = [X(*addresses[rng.randrange(len(addresses))]) for _ in range(2)]
         w1, w2 = LMWord(tuple(letters1), "G"), LMWord(tuple(letters2), "G")
-        a, b = quotient_image(w1), quotient_image(w2)
-        ab = quotient_image(w1 * w2)
-        assert ab == (a[0] + b[0], a[1] + b[1])
+        a, b = characters(w1), characters(w2)
+        assert characters(w1 * w2) == {name: a[name] + b[name] for name in a}
 
 
 def test_word_parse_roundtrip():
     w = parse_word("x(011) y(01)' x()")
     assert w.letters == (X(0, 1, 1), Yi(0, 1), X())
-    assert parse_word(format_word(w)) == w
+    assert parse_word(str(w)) == w
+    rng = random.Random(107)
+    for variant in VARIANTS:
+        assert str(W(variant=variant)) == "1"
+        words = [W(variant=variant)] + [random_word(rng, variant, 8, 3) for _ in range(30)]
+        for w in words:
+            assert parse_word(str(w), w.variant) == w
+
+
+def test_parse_word_error_points_at_the_bad_token():
+    for text, bad in (
+        ("  x(0) q", "q"),
+        ("x(0)  z(1)", "z(1)"),
+        ("\tx(0)\t\tx(2) y()", "x(2)"),
+        ("x(0) \t y(1)  1", "1"),
+        ("1 x(0)", "1"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_word(text)
+        assert text[info.value.pos :].startswith(bad), (text, info.value.pos)
+
+
+def test_parsers_import_without_numbers():
+    # lodha_moore and braids parse literals without importing numbers, and
+    # with it fractions and decimal; checked in a fresh interpreter.
+    src = str(Path(rinfinity.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import rinfinity.lodha_moore, rinfinity.braids; "
+        "print(sorted({'rinfinity.numbers', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, src],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def assert_witnessed(w1, w2, d):
@@ -551,3 +595,54 @@ def test_equal_pairs_never_push(monkeypatch):
     assert equal_up_to_depth(long_word, long_word, 20) == lodha_moore.DepthVerdict(
         False, 20, exact=True
     )
+
+
+# F is the subgroup of G generated by the x-letters.  x_s is the element of
+# F whose minus tree has (.(..)) grafted at the address s and whose plus
+# tree has ((..).) there, so the tree pairs check word_map without the
+# transducer.
+
+
+def f_element(word):
+    product = treepairs.IDENTITY
+    for letter in word.letters:
+        minus, plus = parse_tree("(.(..))"), parse_tree("((..).)")
+        for bit in reversed(letter.address):
+            minus, plus = (caret(t, LEAF) if bit == 0 else caret(LEAF, t) for t in (minus, plus))
+        pair = TreePair(minus, plus)
+        product = treepairs.multiply(product, pair if letter.sign > 0 else treepairs.inverse(pair))
+    return product
+
+
+def test_x_words_agree_with_f_as_tree_pairs():
+    rng = random.Random(139)
+    addresses = all_addresses(3)
+
+    def x_word(n_min, n_max):
+        n = rng.randint(n_min, n_max)
+        letters = (LMLetter("x", rng.choice(addresses), rng.choice((1, -1))) for _ in range(n))
+        return LMWord(tuple(letters), "G")
+
+    outcomes = {True: 0, False: 0}
+    for i in range(300):
+        w = x_word(1, 6)
+        if i % 3 == 2:
+            other = x_word(1, 12)
+        else:
+            # insert a square relator x_s x_s (x_s1 x_s x_s0)^-1
+            s = rng.choice(all_addresses(2))
+            lhs, rhs = W(X(*s), X(*s), variant="G"), W(X(*s, 1), X(*s), X(*s, 0), variant="G")
+            cut = rng.randint(0, len(w.letters))
+            other = LMWord(w.letters[:cut] + (lhs * rhs.inverse()).letters + w.letters[cut:], "G")
+            if i % 3 == 1:
+                other = other * x_word(1, 1)
+        f_w, f_other = f_element(w), f_element(other)
+        same = word_map(w) == word_map(other)
+        assert same == (f_w == f_other), (str(w), str(other))
+        if i % 3 == 0:
+            assert same
+        outcomes[same] += 1
+        for word, pair in ((w, f_w), (other, f_other)):
+            chi = characters(word)
+            assert (chi["chi0"], chi["chi1"]) == tuple(-c for c in f_characters(pair))
+    assert outcomes[True] >= 100 and outcomes[False] >= 100

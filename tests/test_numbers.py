@@ -127,14 +127,14 @@ def test_z_inv_membership_matches_prime_factors():
 
 def test_additive_group_closure_under_slopes():
     # P * A <= A for each named instance.
+    half, sixth = ExactNumber.rational(1, 2), ExactNumber.rational(1, 6)
     cases = [
-        (AdditiveGroup.z_inv(2), SlopeGroup.of(2)),
-        (AdditiveGroup.z_inv(6), SlopeGroup.of(2, 3)),
-        (AdditiveGroup.z_tau(), SlopeGroup.of(TAU)),
+        (AdditiveGroup.z_inv(2), SlopeGroup.of(2), (ONE, half, half * half)),
+        (AdditiveGroup.z_inv(6), SlopeGroup.of(2, 3), (ONE, sixth, sixth * sixth)),
+        (AdditiveGroup.z_tau(), SlopeGroup.of(TAU), (ONE, TAU)),
     ]
     rng = random.Random(3)
-    for a_spec, p_spec in cases:
-        samples = list(a_spec.sample_elements())
+    for a_spec, p_spec, samples in cases:
         for _ in range(200):
             x = samples[rng.randrange(len(samples))] * rng.randint(-5, 5)
             y = samples[rng.randrange(len(samples))]

@@ -143,6 +143,53 @@ def test_membership():
     assert is_member(TAU_MAP, FTAU_SPEC).ok
 
 
+def sampled_closure(a_spec, p_spec):
+    """P A = A as first checked: on a few elements of A, not exactly."""
+    if a_spec.kind == "zinv":
+        inv = R(1, a_spec.n)
+        samples = (ONE, inv, inv * inv)
+    elif a_spec.kind == "ztau":
+        samples = (ONE, TAU)
+    else:
+        samples = (ONE, R(1, 2), R(1, 3))
+    return all(
+        a_spec.contains(p * a) and a_spec.contains(p.inverse() * a)
+        for p in p_spec.generators
+        for a in samples
+    )
+
+
+def test_slope_check_is_exact_and_agrees_with_sampling():
+    z2, z3, z6 = (AdditiveGroup.z_inv(n) for n in (2, 3, 6))
+    z_tau, q = AdditiveGroup.z_tau(), AdditiveGroup.rationals()
+    with pytest.raises(ValueError, match="does not preserve"):
+        PLGroupSpec(ONE, z3, SlopeGroup.of(2))
+    cases = [
+        (z2, SlopeGroup.of(2), True),
+        (z6, SlopeGroup.of(2, 3), True),
+        (z_tau, SlopeGroup.of(TAU), True),
+        (z6, SlopeGroup.of(3), True),
+        (AdditiveGroup.z_inv(4), SlopeGroup.of(2), True),
+        (AdditiveGroup.z_inv(10), SlopeGroup.of(R(2, 5)), True),
+        (z_tau, SlopeGroup.of(ONE + TAU), True),
+        (q, SlopeGroup.of(2, 3), True),
+        (z3, SlopeGroup.of(2), False),
+        (z2, SlopeGroup.of(3), False),
+        (z6, SlopeGroup.of(2, 5), False),
+        (z_tau, SlopeGroup.of(2), False),
+        (z2, SlopeGroup.of(TAU), False),
+        (q, SlopeGroup.of(TAU), False),
+    ]
+    for a_spec, p_spec, accepted in cases:
+        assert sampled_closure(a_spec, p_spec) is accepted, (a_spec, p_spec)
+        try:
+            PLGroupSpec(ONE, a_spec, p_spec)
+        except ValueError:
+            assert not accepted, (a_spec, p_spec)
+        else:
+            assert accepted, (a_spec, p_spec)
+
+
 def test_membership_closed_under_group_ops():
     rng = random.Random(37)
     for _ in range(100):

@@ -2,12 +2,13 @@ import random
 from math import inf
 
 import pytest
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from rinfinity.finite_groups import abelian_group, automorphisms, twisted_classes
 from rinfinity.intlinalg import AbelianAuto, FGAbelianGroup, IntMatrix
 from rinfinity.reidemeister import (
     CharacterData,
-    character_independence,
     fixed_vector_certificate,
     normalize_ray,
     reidemeister_number_abelian,
@@ -15,14 +16,19 @@ from rinfinity.reidemeister import (
 )
 
 
+def det(m: IntMatrix) -> int:
+    """Exact determinant by sympy, over its integer domain ZZ."""
+    return int(DomainMatrix.from_list(m.rows, ZZ).det())
+
+
 def eigenvalue_one_check(m: IntMatrix) -> bool:
     """Whether a 2x2 integer matrix with determinant +-1 has eigenvalue 1,
     i.e. det(M - I) = 0."""
     if m.nrows != 2 or m.ncols != 2:
         raise ValueError("matrix must be 2x2")
-    if m.det() not in (1, -1):
+    if det(m) not in (1, -1):
         raise ValueError("matrix must be unimodular")
-    return (m - IntMatrix.identity(2)).det() == 0
+    return det(m - IntMatrix.identity(2)) == 0
 
 
 def random_unimodular2(rng):
@@ -96,15 +102,6 @@ def test_pipeline_success_implies_infinite_fix():
         assert fix_subgroup(auto).order == inf
 
 
-def test_character_independence():
-    dep = CharacterData.of(a=(1, 2), b=(1, 2))
-    det, indep = character_independence(dep)
-    assert det == 0 and not indep
-    gamma1 = CharacterData.of(chi0=(-1, 0), chi1=(0, 1))
-    det, indep = character_independence(gamma1)
-    assert det == -1 and indep
-
-
 def test_eigenvalue_one_check_basics():
     assert eigenvalue_one_check(IntMatrix.identity(2))
     assert eigenvalue_one_check(IntMatrix.of([[1, 1], [0, 1]]))
@@ -117,7 +114,7 @@ def test_eigenvalue_one_random_unimodular():
     rng = random.Random(11)
     for _ in range(1000):
         m = random_unimodular2(rng)
-        assert eigenvalue_one_check(m) == ((m - IntMatrix.identity(2)).det() == 0)
+        assert eigenvalue_one_check(m) == (det(m - IntMatrix.identity(2)) == 0)
 
 
 def test_abelian_formula_matches_finite_oracle():

@@ -345,8 +345,8 @@ def test_caret_helpers_reject_bad_positions():
             expansion(TreePair(t, t), leaf)
     for leaf in (2, 3):
         with pytest.raises(ValueError):
-            tp.collapse_caret(t, leaf)
-    assert tp.collapse_caret(t, 1) == parse_tree("(..)")
+            tp._collapse(t, {leaf})
+    assert tp._collapse(t, {1}) == parse_tree("(..)")
 
 
 def test_power_by_squaring_matches_fold():
