@@ -14,8 +14,9 @@ without importing `numbers`.  Modules:
   they form.
 - lodha_moore: the four Lodha-Moore groups as transducer words and as
   exact piecewise-Moebius maps of [0, inf]: equal maps decide equality
-  exactly, and words whose maps differ get a depth-bounded search for a
-  witness input; characters.
+  exactly, and words whose maps differ get a depth-bounded transducer
+  search for a witness input, whose first differing output bit it reads
+  by replaying that input; characters.
 - intlinalg: Smith normal form, lattice quotients, and finitely generated
   abelian groups with automorphisms.
 - finite_groups: the groups of order <= 16 as multiplication tables,

@@ -201,5 +201,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
             body = body[:-1]
         if not token.startswith("s") or not body.isdigit() or int(body) < 1:
             raise ParseError(f"bad braid token {token!r}", text, found.start())
+        if int(body) >= n:
+            raise ParseError(f"letter {token!r} out of range for {n} strands", text, found.start())
         letters.append(-int(body) if inv else int(body))
     return BraidWord(n, tuple(letters))

@@ -29,17 +29,16 @@ act alike off a countable set, hence everywhere, since the set where two
 homeomorphisms of the Cantor set differ is open.
 
 Each letter is also a small sequential transducer, and a word is the
-pipeline of its letters.  A letter's state is an int (the number of
-address bits matched so far), then (sign, bits read) inside a case of the
-rule table `_CASES`, which buffers at most two input bits, and None once
-the letter is the identity for good.  Prefix evaluation streams bits
-through the pipeline.  `equal_up_to_depth` first compares the two words'
-maps: equal maps give an exact "not distinct" verdict.  Otherwise it
-explores the product of two pipelines over all inputs with d branching
-bits followed by one of the periodic tails 0^w, 1^w, (10)^w, sharing
-states across inputs.  A `distinct` verdict always carries a concrete
-witness input; without one, words whose maps differ get only the
-depth-bounded verdict "indistinguishable at this depth".
+pipeline of its letters (`WordMachine`).  A letter's state is an int (the
+number of address bits matched so far), then (sign, bits read) inside a
+case of the rule table `_CASES`, which buffers at most two input bits,
+and None once the letter is the identity for good.  `equal_up_to_depth`
+first compares the two words' maps: equal maps give an exact "not
+distinct" verdict.  Otherwise it explores the product of two pipelines
+over all inputs with d branching bits followed by one of the periodic
+tails 0^w, 1^w, (10)^w, sharing states across inputs; where the outputs
+differ, replaying the walked input names the first differing output bit.
+Pairs that no walk tells apart get a depth-bounded `DepthVerdict`.
 """
 
 from __future__ import annotations
@@ -117,48 +116,6 @@ class LMWord:
         return " ".join(str(l) for l in self.letters) if self.letters else "1"
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSeq:
-    """Infinite binary sequence preperiod . (period)^w, kept canonical:
-    primitive period, maximally absorbed into the preperiod boundary."""
-
-    preperiod: Bits
-    period: Bits
-
-    def __post_init__(self) -> None:
-        if not self.period:
-            raise ValueError("period must be nonempty")
-        pre, per = list(self.preperiod), list(self.period)
-        # primitive period
-        n = len(per)
-        for k in range(1, n):
-            if n % k == 0 and per == per[:k] * (n // k):
-                per = per[:k]
-                n = k
-                break
-        # absorb: rotate the period left out of the preperiod tail
-        while pre and pre[-1] == per[-1]:
-            pre.pop()
-            per = [per[-1]] + per[:-1]
-        object.__setattr__(self, "preperiod", tuple(pre))
-        object.__setattr__(self, "period", tuple(per))
-
-    def bit(self, i: int) -> int:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
-    def prefix(self, k: int) -> Bits:
-        return tuple(self.bit(i) for i in range(k))
-
-    def __str__(self) -> str:
-        pre = "".join(map(str, self.preperiod))
-        per = "".join(map(str, self.period))
-        return f"{pre}({per})^w"
-
-
-ZEROS = EventuallyPeriodicSeq((), (0,))
-ONES = EventuallyPeriodicSeq((), (1,))
 TAILS = {"0^w": (0,), "1^w": (1,), "(10)^w": (1, 0)}
 
 
@@ -221,26 +178,6 @@ class WordMachine:
             new_states.append(st)
             bits = tuple(out)
         return tuple(new_states), bits
-
-
-def _push_cap(word: LMWord, k: int) -> int:
-    addr = sum(len(l.address) for l in word.letters)
-    return (k + addr + 4) * (1 << len(word.letters)) + 32
-
-
-def evaluate_prefix(word: LMWord, seq: EventuallyPeriodicSeq, k: int) -> Bits:
-    """First k bits of word(seq)."""
-    if k < 1:
-        raise ValueError("output length must be >= 1")
-    machine = WordMachine(word)
-    states = machine.initial
-    out: list[int] = []
-    for i in range(_push_cap(word, k)):
-        states, bits = machine.push(states, seq.bit(i))
-        out.extend(bits)
-        if len(out) >= k:
-            return tuple(out[:k])
-    raise RuntimeError("transducer failed to produce output (cap exceeded)")
 
 
 def x_image_of_address(s: Bits, t: Bits) -> Bits | None:
@@ -370,14 +307,13 @@ def word_map(word: LMWord) -> PiecewiseMap:
 
 @dataclass(frozen=True)
 class Witness:
-    """A concrete input on which the two words differ."""
+    """A concrete input, `prefix` followed by the periodic `tail` (a key of
+    `TAILS`), and the index of the first output bit at which the two
+    words' images of it differ."""
 
     prefix: Bits
     tail: str
     position: int
-
-    def sequence(self) -> EventuallyPeriodicSeq:
-        return EventuallyPeriodicSeq(self.prefix, TAILS[self.tail])
 
     def __str__(self) -> str:
         pre = "".join(map(str, self.prefix)) or "ø"
@@ -387,30 +323,17 @@ class Witness:
 @dataclass(frozen=True)
 class DepthVerdict:
     """The verdict of `equal_up_to_depth`.  A distinct verdict carries its
-    witness.  Otherwise the words agree on every input tried at this depth,
-    and only a verdict with `exact` set, reached because the two words give
-    the same `word_map`, is an exact "equal"."""
+    witness; one with `exact` set, reached because the two words give the
+    same `word_map`, is an exact "equal".  Any other verdict only says that
+    the search found no difference: from each input with at most `depth`
+    free bits it follows each tail until the walk repeats a state or reads
+    (depth + address bits + 4) * 2^letters + 32 bits (the larger bound of
+    the two words); a walk that stops at that bound counts as agreeing."""
 
     distinct: bool
     depth: int
     witness: Witness | None = None
     exact: bool = False
-
-    def __bool__(self) -> bool:  # truthy = indistinguishable
-        return not self.distinct
-
-
-def _certify(w1: LMWord, w2: LMWord, prefix: Bits, tail: str) -> Witness:
-    seq = EventuallyPeriodicSeq(prefix, TAILS[tail])
-    k = 8
-    while k < 4096:
-        o1 = evaluate_prefix(w1, seq, k)
-        o2 = evaluate_prefix(w2, seq, k)
-        if o1 != o2:
-            pos = next(i for i in range(k) if o1[i] != o2[i])
-            return Witness(prefix, tail, pos)
-        k *= 2
-    raise AssertionError("mismatch vanished during certification")
 
 
 def equal_up_to_depth(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
@@ -452,13 +375,14 @@ def _search(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
         for bit in (0, 1):
             nxt = step(node, bit)
             if nxt is None:
-                return DepthVerdict(True, d, _certify(w1, w2, paths[node] + (bit,), "0^w"))
+                return DepthVerdict(True, d, _certify(m1, m2, paths[node] + (bit,), "0^w", 0))
             if nxt not in depth_of or depth_of[nxt] > depth + 1:
                 depth_of[nxt] = depth + 1
                 paths[nxt] = paths[node] + (bit,)
                 stack.append(nxt)
 
-    cap = max(_push_cap(w1, d), _push_cap(w2, d))
+    sizes = [(len(w.letters), sum(len(l.address) for l in w.letters)) for w in (w1, w2)]
+    cap = max((d + address + 4) * (1 << letters) + 32 for letters, address in sizes)
     tail_seen: set = set()
     # A walk may end at the cap without repeating a state (one word emits more
     # slowly on the tail, so the surplus grows); it agrees through cap bits.
@@ -472,9 +396,26 @@ def _search(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
                 tail_seen.add(key)
                 nxt = step(cur, period[i % len(period)])
                 if nxt is None:
-                    return DepthVerdict(True, d, _certify(w1, w2, paths[node], tail_name))
+                    return DepthVerdict(True, d, _certify(m1, m2, paths[node], tail_name, i + 1))
                 cur = nxt
     return DepthVerdict(False, d)
+
+
+def _certify(m1: WordMachine, m2: WordMachine, prefix: Bits, tail: str, n: int) -> Witness:
+    """Replay the input the search walked, `prefix` and then n bits of
+    `tail`, through both machines.  The search saw the outputs differ on
+    it, so the replay finds the first differing output bit."""
+    period = TAILS[tail]
+    bits = prefix + tuple(period[i % len(period)] for i in range(n))
+    outputs = []
+    for machine in (m1, m2):
+        states, out = machine.initial, []
+        for bit in bits:
+            states, emitted = machine.push(states, bit)
+            out.extend(emitted)
+        outputs.append(out)
+    position = next(i for i, (a, b) in enumerate(zip(*outputs)) if a != b)
+    return Witness(prefix, tail, position)
 
 
 # --- relations -----------------------------------------------------------
@@ -583,5 +524,7 @@ def parse_word(text: str, variant: str = "yGy") -> LMWord:
         if m.group(2) and any(c not in "01" for c in m.group(2)):
             raise ParseError(f"bad address in {token!r}", text, pos)
         addr = tuple(int(c) for c in m.group(2))
+        if m.group(1) == "y" and not y_address_allowed(addr, variant):
+            raise ParseError(f"letter {token!r} is not allowed in variant {variant}", text, pos)
         letters.append(LMLetter(m.group(1), addr, -1 if m.group(3) else 1))
     return LMWord(tuple(letters), variant)

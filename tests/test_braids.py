@@ -266,6 +266,16 @@ def test_parse_braid_error_points_at_the_bad_token():
         assert text[info.value.pos :].startswith(bad), (text, info.value.pos)
 
 
+def test_parse_braid_letter_out_of_range_is_a_parse_error():
+    # s5 is a well-formed token, but the word on 3 strands refuses it.
+    with pytest.raises(ParseError) as info:
+        parse_braid("s1 s5", 3)
+    assert info.value.pos == 3
+    with pytest.raises(ParseError) as info:
+        parse_braid("s2' s3'", 3)
+    assert info.value.pos == 4
+
+
 def brute_force_handle(letters):
     """The handle (p, q) with the smallest q, by trying every pair."""
     for q in range(len(letters)):

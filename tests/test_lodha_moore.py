@@ -11,17 +11,14 @@ import pytest
 import rinfinity
 from rinfinity import ParseError, lodha_moore, treepairs
 from rinfinity.lodha_moore import (
-    ONES,
     TAILS,
     VARIANTS,
-    ZEROS,
-    EventuallyPeriodicSeq,
     LMLetter,
     LMWord,
+    WordMachine,
     character_value,
     characters,
     equal_up_to_depth,
-    evaluate_prefix,
     parse_word,
     relation_suite,
     word_map,
@@ -40,8 +37,14 @@ def W(*letters, variant="yGy"):
     return LMWord(tuple(letters), variant)
 
 
-def seq(pre, period):
-    return EventuallyPeriodicSeq(tuple(pre), tuple(period))
+def push_bits(word, bits):
+    """What the word's transducer pipeline emits on the finite input bits."""
+    machine = WordMachine(word)
+    states, out = machine.initial, []
+    for bit in bits:
+        states, emitted = machine.push(states, bit)
+        out.extend(emitted)
+    return tuple(out)
 
 
 def all_addresses(max_len):
@@ -52,27 +55,30 @@ def all_addresses(max_len):
 
 
 def test_x_case_rules():
-    assert evaluate_prefix(W(X()), seq((0, 0), (1, 0)), 5) == (0, 1, 0, 1, 0)
-    assert evaluate_prefix(W(X()), seq((1,), (0,)), 2) == (1, 1)
-    assert evaluate_prefix(W(X()), seq((0, 1), (0,)), 3) == (1, 0, 0)
+    # x(00 a) = 0 a, x(01 a) = 10 a, x(1 a) = 11 a
+    assert push_bits(W(X()), (0, 0, 1, 0, 1, 0)) == (0, 1, 0, 1, 0)
+    assert push_bits(W(X()), (1,)) == (1, 1)
+    assert push_bits(W(X()), (0, 1, 0)) == (1, 0, 0)
+    assert push_bits(W(X()), (0,)) == ()
 
 
 def test_y_fixes_zeros():
+    # y(00 a) = 0 y(a): one bit out for every two read
     for k in (1, 5, 12):
-        assert evaluate_prefix(W(Y()), ZEROS, k) == (0,) * k
+        assert push_bits(W(Y()), (0,) * (2 * k)) == (0,) * k
 
 
 def test_y_case_rules_first_bits():
-    # y(01 a) = 10 y^-1(a); y^-1(0 a) = 00 y^-1(a)
-    assert evaluate_prefix(W(Y()), seq((0, 1, 0), (0,)), 4) == (1, 0, 0, 0)
-    assert evaluate_prefix(W(Yi()), seq((0,), (0,)), 4) == (0, 0, 0, 0)
-    assert evaluate_prefix(W(Yi()), seq((1, 0, 0, 1), (0,)), 4) == (0, 1, 1, 0)
+    # y(01 a) = 10 y^-1(a); y^-1(0 a) = 00 y^-1(a); y^-1(10 a) = 01 y(a)
+    assert push_bits(W(Y()), (0, 1, 0)) == (1, 0, 0, 0)
+    assert push_bits(W(Yi()), (0, 0)) == (0, 0, 0, 0)
+    assert push_bits(W(Yi()), (1, 0, 0, 1)) == (0, 1, 1, 0)
 
 
 def test_address_restriction_outside_cylinder():
     w = W(X(0, 1))
-    s = seq((1, 1, 0, 1), (0,))
-    assert evaluate_prefix(w, s, 6) == s.prefix(6)
+    for bits in ((1, 1, 0, 1, 0, 0), (0, 0, 1, 1), (1,)):
+        assert push_bits(w, bits) == bits
 
 
 def test_variant_legality():
@@ -87,14 +93,6 @@ def test_variant_legality():
         W(Y(0), variant="Gy")
 
 
-def test_eventually_periodic_canonical():
-    a = EventuallyPeriodicSeq((0, 1, 1), (0, 1, 1))
-    b = EventuallyPeriodicSeq((0, 1, 1, 0), (1, 1, 0))
-    assert a.prefix(12) == b.prefix(12)
-    assert a == b == EventuallyPeriodicSeq((), (0, 1, 1))
-    assert EventuallyPeriodicSeq((), (1, 0, 1, 0)).period == (1, 0)
-
-
 def test_equal_same_word():
     w = W(X(0), Y(0, 1), Xi())
     assert not equal_up_to_depth(w, w, 12).distinct
@@ -103,11 +101,8 @@ def test_equal_same_word():
 def test_x_vs_x_inverse_distinct():
     verdict = equal_up_to_depth(W(X()), W(Xi()), 12)
     assert verdict.distinct
-    wit = verdict.witness
-    assert wit is not None
-    s = wit.sequence()
-    k = wit.position + 1
-    assert evaluate_prefix(W(X()), s, k) != evaluate_prefix(W(Xi()), s, k)
+    assert verdict.witness is not None
+    assert_witness_holds(W(X()), W(Xi()), verdict.witness)
 
 
 def test_square_relation_at_root():
@@ -170,13 +165,11 @@ def test_homeomorphism_roundtrip():
             letters.append(LMLetter(kind, addr, rng.choice((1, -1))))
         w = W(*letters)
         winv = w.inverse()
-        s = seq(
-            tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6))),
-            tuple(TAILS[rng.choice(list(TAILS))]),
-        )
-        forward = evaluate_prefix(w, s, 64)
-        back = evaluate_prefix(winv, EventuallyPeriodicSeq(forward, s.period), 12)
-        assert back == s.prefix(12)
+        bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
+        bits += TAILS[rng.choice(list(TAILS))] * 40
+        # Each output is a prefix of the image of every extension of its input.
+        back = push_bits(winv, push_bits(w, bits))
+        assert len(back) >= 12 and back == bits[: len(back)]
 
 
 def test_characters_on_generators():
@@ -346,6 +339,16 @@ def test_parse_word_error_points_at_the_bad_token():
         assert text[info.value.pos :].startswith(bad), (text, info.value.pos)
 
 
+def test_parse_word_refused_letter_is_a_parse_error():
+    # y(0) is a well-formed token, but variant G has no y-letter at the end 0.
+    with pytest.raises(ParseError) as info:
+        parse_word("x(0) y(0)", "G")
+    assert info.value.pos == 5
+    with pytest.raises(ParseError) as info:
+        parse_word("y(01) y(1)'", "yG")
+    assert info.value.pos == 6
+
+
 def test_parsers_import_without_numbers():
     # lodha_moore and braids parse literals without importing numbers, and
     # with it fractions and decimal; checked in a fresh interpreter.
@@ -368,8 +371,8 @@ def test_parsers_import_without_numbers():
 def assert_witnessed(w1, w2, d):
     verdict = equal_up_to_depth(w1, w2, d)
     assert verdict.distinct
-    s, k = verdict.witness.sequence(), verdict.witness.position + 1
-    assert evaluate_prefix(w1, s, k)[-1] != evaluate_prefix(w2, s, k)[-1]
+    assert_witness_holds(w1, w2, verdict.witness)
+    return verdict.witness
 
 
 def test_slow_tail_walk_does_not_stop_the_search():
@@ -383,9 +386,17 @@ def test_slow_tail_walk_does_not_stop_the_search():
 
 
 def test_witness_names_the_input_that_differs():
-    # The mismatch is on 00(10)^w, whose canonical form 0(01)^w has the
-    # preperiod 0; the witness must keep the prefix 00.
-    assert_witnessed(W(Y()), W(Y(), Y(0, 0)), 2)
+    # The mismatch is on 00(10)^w, which 0(01)^w also names; the witness
+    # keeps the prefix 00 that the search walked.
+    assert assert_witnessed(W(Y()), W(Y(), Y(0, 0)), 2).prefix == (0, 0)
+
+
+def test_witness_far_down_the_output_is_certified():
+    # y^10 and y^11 first differ at output bit 2848 of the input the search
+    # finds; the position is read by replaying that input, with no bound on
+    # how far down the output it lies.
+    witness = assert_witnessed(W(*[Y()] * 10), W(*[Y()] * 11), 12)
+    assert witness.position == 2848
 
 
 # The case rules of x^sign and y^sign as string rewrites: (read, write, sign
@@ -416,7 +427,31 @@ def oracle_letter(letter, bits):
         sign = again
 
 
-def test_evaluate_prefix_matches_case_rule_oracle():
+def oracle_word(word, bits):
+    for letter in reversed(word.letters):
+        bits = oracle_letter(letter, bits)
+    return bits
+
+
+def oracle_image(word, prefix, period, k):
+    """The first k bits of word(prefix period^w) by the case-rule oracle."""
+    head, period = "".join(map(str, prefix)), "".join(map(str, period))
+    for reps in (8 << j for j in range(16)):
+        out = oracle_word(word, head + period * reps)
+        if len(out) >= k:
+            return tuple(map(int, out[:k]))
+    raise AssertionError("the oracle emitted too few bits")
+
+
+def assert_witness_holds(w1, w2, witness):
+    """On the witness input the two images agree before `position` and
+    differ at it, by the case-rule oracle."""
+    k = witness.position + 1
+    o1, o2 = (oracle_image(w, witness.prefix, TAILS[witness.tail], k) for w in (w1, w2))
+    assert o1[:-1] == o2[:-1] and o1[-1] != o2[-1], str(witness)
+
+
+def test_word_machine_matches_case_rule_oracle():
     rng = random.Random(109)
     addresses = all_addresses(3)
     for variant in VARIANTS:
@@ -428,16 +463,14 @@ def test_evaluate_prefix_matches_case_rule_oracle():
                 addr = rng.choice(y_addresses if kind == "y" else addresses)
                 letters.append(LMLetter(kind, addr, rng.choice((1, -1))))
             w = W(*letters, variant=variant)
-            s = seq(
-                [rng.randint(0, 1) for _ in range(rng.randint(0, 6))],
-                [rng.randint(0, 1) for _ in range(rng.randint(1, 4))],
-            )
-            bits = "".join(map(str, s.prefix(1600)))
-            for letter in reversed(letters):
-                bits = oracle_letter(letter, bits)
-            k = min(len(bits), 40)
+            prefix = [rng.randint(0, 1) for _ in range(rng.randint(0, 6))]
+            period = [rng.randint(0, 1) for _ in range(rng.randint(1, 4))]
+            bits = tuple(prefix + period * 1600)[:1600]
+            expected = oracle_word(w, "".join(map(str, bits)))
+            k = min(len(expected), 40)
             assert k >= 1
-            assert evaluate_prefix(w, s, k) == tuple(map(int, bits[:k])), (str(w), str(s))
+            out = push_bits(w, bits)
+            assert len(out) >= k and out[:k] == tuple(map(int, expected[:k])), (str(w), bits)
 
 
 # --- the piecewise-Moebius model ---------------------------------------------
@@ -500,7 +533,7 @@ def random_word(rng, variant, max_letters, max_address):
     return W(*letters, variant=variant)
 
 
-def test_word_map_matches_evaluate_prefix():
+def test_word_map_matches_case_rule_oracle():
     # The exact image of a rational point lies in the closed cylinder
     # interval of every prefix of the transducer's output.
     rng = random.Random(113)
@@ -513,7 +546,7 @@ def test_word_map_matches_evaluate_prefix():
                 prefix = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
                 tail_bit = rng.randint(0, 1)
                 image = map_at(pieces, phi(prefix, tail_bit))
-                out = evaluate_prefix(w, EventuallyPeriodicSeq(prefix, (tail_bit,)), 16)
+                out = oracle_image(w, prefix, (tail_bit,), 16)
                 for j in range(1, 17):
                     assert phi(out[:j], 0) <= image <= phi(out[:j], 1), (str(w), prefix, j)
 

@@ -6,7 +6,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from rinfinity.finite_groups import abelian_group, automorphisms, twisted_classes
-from rinfinity.intlinalg import AbelianAuto, FGAbelianGroup, IntMatrix
+from rinfinity.intlinalg import AbelianAuto, FGAbelianGroup, IntMatrix, fix_subgroup
 from rinfinity.reidemeister import (
     CharacterData,
     fixed_vector_certificate,
@@ -19,16 +19,6 @@ from rinfinity.reidemeister import (
 def det(m: IntMatrix) -> int:
     """Exact determinant by sympy, over its integer domain ZZ."""
     return int(DomainMatrix.from_list(m.rows, ZZ).det())
-
-
-def eigenvalue_one_check(m: IntMatrix) -> bool:
-    """Whether a 2x2 integer matrix with determinant +-1 has eigenvalue 1,
-    i.e. det(M - I) = 0."""
-    if m.nrows != 2 or m.ncols != 2:
-        raise ValueError("matrix must be 2x2")
-    if det(m) not in (1, -1):
-        raise ValueError("matrix must be unimodular")
-    return det(m - IntMatrix.identity(2)) == 0
 
 
 def random_unimodular2(rng):
@@ -91,8 +81,6 @@ def test_swap_matrix_construction():
 
 
 def test_pipeline_success_implies_infinite_fix():
-    from rinfinity.intlinalg import fix_subgroup
-
     rng = random.Random(7)
     chars = CharacterData.of(a=(1, 0), b=(0, 1))
     for m in (IntMatrix.identity(2), IntMatrix.of([[0, 1], [1, 0]])):
@@ -103,18 +91,35 @@ def test_pipeline_success_implies_infinite_fix():
 
 
 def test_eigenvalue_one_check_basics():
-    assert eigenvalue_one_check(IntMatrix.identity(2))
-    assert eigenvalue_one_check(IntMatrix.of([[1, 1], [0, 1]]))
-    assert not eigenvalue_one_check(IntMatrix.of([[0, -1], [1, 0]]))
+    # On Z^2, R(phi) is infinite exactly when M has eigenvalue 1.
+    free2 = FGAbelianGroup.free(2)
+    for rows, expected in (
+        ([[1, 0], [0, 1]], inf),
+        ([[1, 1], [0, 1]], inf),
+        ([[0, -1], [1, 0]], 2),
+        ([[2, 1], [1, 1]], 1),
+    ):
+        auto = AbelianAuto(free2, IntMatrix.of(rows))
+        assert reidemeister_number_abelian(auto) == expected, rows
     with pytest.raises(ValueError):
-        eigenvalue_one_check(IntMatrix.of([[2, 0], [0, 2]]))
+        AbelianAuto(free2, IntMatrix.of([[2, 0], [0, 2]]))
 
 
 def test_eigenvalue_one_random_unimodular():
+    # R(phi) = |det(M - I)|, or inf exactly when that determinant is 0;
+    # Fix(phi) = ker(M - I) is infinite then, and trivial otherwise.
     rng = random.Random(11)
+    free2 = FGAbelianGroup.free(2)
+    infinite = 0
     for _ in range(1000):
         m = random_unimodular2(rng)
-        assert eigenvalue_one_check(m) == (det(m - IntMatrix.identity(2)) == 0)
+        assert abs(det(m)) == 1
+        d = det(m - IntMatrix.identity(2))
+        auto = AbelianAuto(free2, m)
+        assert reidemeister_number_abelian(auto) == (abs(d) if d else inf), m.rows
+        assert fix_subgroup(auto).order == (1 if d else inf), m.rows
+        infinite += d == 0
+    assert 0 < infinite < 1000
 
 
 def test_abelian_formula_matches_finite_oracle():
