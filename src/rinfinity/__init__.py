@@ -13,10 +13,10 @@ without importing `numbers`.  Modules:
 - braided: braided paired tree diagrams and the braided Thompson groups
   they form.
 - lodha_moore: the four Lodha-Moore groups as transducer words and as
-  exact piecewise-Moebius maps of [0, inf]: equal maps decide equality
-  exactly, and words whose maps differ get a depth-bounded transducer
-  search for a witness input, whose first differing output bit it reads
-  by replaying that input; characters.
+  exact piecewise-Moebius maps of [0, inf]: the maps decide equality, and
+  for words whose maps differ a depth-bounded transducer search looks for
+  a witness input, whose first differing output bit it reads by replaying
+  that input; characters.
 - intlinalg: Smith normal form, lattice quotients, and finitely generated
   abelian groups with automorphisms.
 - finite_groups: the groups of order <= 16 as multiplication tables,
@@ -35,5 +35,38 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, text: str, pos: int) -> None:
         super().__init__(f"{message} at position {pos}: {text!r}")
+        self.message = message
         self.text = text
         self.pos = pos
+
+
+# Composite literals (tree pairs, diagrams, slope groups, PL maps) parse their
+# parts with the parts' own parsers, and report every error in the whole text.
+
+
+def _parts(text: str, sep: str, start: int = 0, end: int | None = None) -> list[tuple[int, str]]:
+    """Each part of text[start:end].split(sep), stripped, with its offset in text."""
+    out = []
+    for part in text[start:end].split(sep):
+        out.append((start + len(part) - len(part.lstrip()), part.strip()))
+        start += len(part) + len(sep)
+    return out
+
+
+def _parse_part(text: str, part: tuple[int, str], parse, *args):
+    """parse(literal, *args) for the part (offset, literal) of text; a
+    ParseError in the part is reported at its place in text."""
+    offset, literal = part
+    try:
+        return parse(literal, *args)
+    except ParseError as e:
+        raise ParseError(e.message, text, offset + e.pos) from None
+
+
+def _construct(text: str, make, *args):
+    """make(*args) for the parts of a well-formed literal; a refusal is a
+    ParseError at position 0."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise ParseError(str(e), text, 0) from None

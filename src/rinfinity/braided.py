@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import ParseError
+from . import ParseError, _construct, _parse_part, _parts
 from .braids import BraidWord, braid_equal, cable, format_braid, parse_braid
 from .treepairs import (
     CARET,
@@ -128,10 +128,9 @@ def standard_generators() -> dict[str, BraidedDiagram]:
 
 
 def parse_diagram(text: str) -> BraidedDiagram:
-    parts = text.split("|")
+    parts = _parts(text, "|")
     if len(parts) != 3:
         raise ParseError("diagram must look like minus | braid | plus", text, 0)
-    minus = parse_tree(parts[0].strip())
-    plus = parse_tree(parts[2].strip())
-    braid = parse_braid(parts[1], minus.leaves)
-    return BraidedDiagram(minus, braid, plus)
+    minus, plus = (_parse_part(text, parts[i], parse_tree) for i in (0, 2))
+    braid = _parse_part(text, parts[1], parse_braid, minus.leaves)
+    return _construct(text, BraidedDiagram, minus, braid, plus)

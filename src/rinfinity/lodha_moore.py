@@ -33,12 +33,11 @@ pipeline of its letters (`WordMachine`).  A letter's state is an int (the
 number of address bits matched so far), then (sign, bits read) inside a
 case of the rule table `_CASES`, which buffers at most two input bits,
 and None once the letter is the identity for good.  `equal_up_to_depth`
-first compares the two words' maps: equal maps give an exact "not
-distinct" verdict.  Otherwise it explores the product of two pipelines
-over all inputs with d branching bits followed by one of the periodic
-tails 0^w, 1^w, (10)^w, sharing states across inputs; where the outputs
-differ, replaying the walked input names the first differing output bit.
-Pairs that no walk tells apart get a depth-bounded `DepthVerdict`.
+decides from the two words' maps alone; for words whose maps differ it
+also looks for a witness, exploring the product of two pipelines over all
+inputs with d branching bits followed by one of the periodic tails 0^w,
+1^w, (10)^w, sharing states across inputs.  Where the outputs differ,
+replaying the walked input names the first differing output bit.
 """
 
 from __future__ import annotations
@@ -302,7 +301,7 @@ def word_map(word: LMWord) -> PiecewiseMap:
     return pieces
 
 
-# --- depth-bounded equality ---------------------------------------------
+# --- equality -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -322,34 +321,31 @@ class Witness:
 
 @dataclass(frozen=True)
 class DepthVerdict:
-    """The verdict of `equal_up_to_depth`.  A distinct verdict carries its
-    witness; one with `exact` set, reached because the two words give the
-    same `word_map`, is an exact "equal".  Any other verdict only says that
-    the search found no difference: from each input with at most `depth`
-    free bits it follows each tail until the walk repeats a state or reads
-    (depth + address bits + 4) * 2^letters + 32 bits (the larger bound of
-    the two words); a walk that stops at that bound counts as agreeing."""
+    """The exact verdict of `equal_up_to_depth`: `distinct` exactly when the
+    two words' maps differ.  A distinct verdict carries the witness that the
+    search at `depth` found, or None where it found none."""
 
     distinct: bool
     depth: int
     witness: Witness | None = None
-    exact: bool = False
 
 
 def equal_up_to_depth(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
-    """Equal `word_map`s give the exact verdict "not distinct" (`exact` set)
-    at once; otherwise `_search` looks for a witness at depth d."""
+    """Decide w1 = w2 by comparing their `word_map`s; for distinct words,
+    `_search` looks for a witness at depth d."""
     if d < 1:
         raise ValueError("depth must be >= 1")
     if word_map(w1) == word_map(w2):
-        return DepthVerdict(False, d, exact=True)
-    return _search(w1, w2, d)
+        return DepthVerdict(False, d)
+    return DepthVerdict(True, d, _search(w1, w2, d))
 
 
-def _search(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
-    """Compare the actions on every input with d free bits followed by one
-    of the tails 0^w, 1^w, (10)^w.  Product states are shared between
-    inputs, so the cost is the size of the product automaton, not 2^d."""
+def _search(w1: LMWord, w2: LMWord, d: int) -> Witness | None:
+    """The witness of the first difference found on the inputs with d free
+    bits followed by one of the tails 0^w, 1^w, (10)^w, or None.  Product
+    states are shared between inputs, so the cost is the size of the product
+    automaton, not 2^d.  A tail walk ends at a repeated state or, to bound
+    the work, after (d + address bits + 4) * 2^letters + 32 bits."""
     m1, m2 = WordMachine(w1), WordMachine(w2)
     start = (m1.initial, m2.initial, (), ())
 
@@ -364,29 +360,25 @@ def _search(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
             return None
         return (st1, st2, t1[k:], t2[k:])
 
-    depth_of = {start: 0}
     paths = {start: ()}
     stack = [start]
     while stack:
         node = stack.pop()
-        depth = depth_of[node]
-        if depth >= d:
+        path = paths[node]
+        if len(path) >= d:
             continue
         for bit in (0, 1):
             nxt = step(node, bit)
             if nxt is None:
-                return DepthVerdict(True, d, _certify(m1, m2, paths[node] + (bit,), "0^w", 0))
-            if nxt not in depth_of or depth_of[nxt] > depth + 1:
-                depth_of[nxt] = depth + 1
-                paths[nxt] = paths[node] + (bit,)
+                return _certify(m1, m2, path + (bit,), "0^w", 0)
+            if nxt not in paths or len(paths[nxt]) > len(path) + 1:
+                paths[nxt] = path + (bit,)
                 stack.append(nxt)
 
     sizes = [(len(w.letters), sum(len(l.address) for l in w.letters)) for w in (w1, w2)]
     cap = max((d + address + 4) * (1 << letters) + 32 for letters, address in sizes)
     tail_seen: set = set()
-    # A walk may end at the cap without repeating a state (one word emits more
-    # slowly on the tail, so the surplus grows); it agrees through cap bits.
-    for node in list(depth_of):
+    for node, path in paths.items():
         for tail_name, period in TAILS.items():
             cur = node
             for i in range(cap):
@@ -396,9 +388,9 @@ def _search(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
                 tail_seen.add(key)
                 nxt = step(cur, period[i % len(period)])
                 if nxt is None:
-                    return DepthVerdict(True, d, _certify(m1, m2, paths[node], tail_name, i + 1))
+                    return _certify(m1, m2, path, tail_name, i + 1)
                 cur = nxt
-    return DepthVerdict(False, d)
+    return None
 
 
 def _certify(m1: WordMachine, m2: WordMachine, prefix: Bits, tail: str, n: int) -> Witness:
@@ -431,9 +423,10 @@ class RelationCheck:
 
 def relation_suite(s: Bits, t: Bits, d: int, variant: str = "yGy") -> list[RelationCheck]:
     """Check every instance of the five defining relations attached to the
-    addresses (s, t) at depth d.  An instance is skipped when x_s(t) is
-    undefined, when the commuting addresses are comparable, or when a
-    y-letter on either side is not allowed in the variant."""
+    addresses (s, t).  An instance fails exactly when its two sides' maps
+    differ, with the witness found at depth d as its detail.  It is skipped
+    when x_s(t) is undefined, when the commuting addresses are comparable,
+    or when a y-letter on either side is not allowed in the variant."""
     image = x_image_of_address(s, t)
     undefined = "x_s(t) undefined" if image is None else ""
     comparable = "addresses comparable" if s[: len(t)] == t or t[: len(s)] == s else ""
@@ -464,7 +457,8 @@ def relation_suite(s: Bits, t: Bits, d: int, variant: str = "yGy") -> list[Relat
         w1, w2 = (LMWord(tuple(LMLetter(*l) for l in side), variant) for side in (lhs, rhs))
         verdict = equal_up_to_depth(w1, w2, d)
         if verdict.distinct:
-            out.append(RelationCheck(relation, instance, "fail", str(verdict.witness)))
+            detail = str(verdict.witness or f"no witness found at depth {d}")
+            out.append(RelationCheck(relation, instance, "fail", detail))
         else:
             out.append(RelationCheck(relation, instance, "pass"))
     return out

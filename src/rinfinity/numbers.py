@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import ParseError
+from . import ParseError, _construct, _parse_part, _parts
 
 
 def _exact_field(value) -> Fraction:
@@ -551,5 +551,5 @@ def parse_slope_group(text: str) -> SlopeGroup:
     stripped = text.strip()
     if not (stripped.startswith("<") and stripped.endswith(">")):
         raise ParseError("slope group must look like <2,3>", text, 0)
-    parts = stripped[1:-1].split(",")
-    return SlopeGroup(tuple(parse_number(p) for p in parts))
+    parts = _parts(text, ",", text.index("<") + 1, text.rindex(">"))
+    return _construct(text, SlopeGroup, tuple(_parse_part(text, p, parse_number) for p in parts))

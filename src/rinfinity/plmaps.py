@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import ParseError
+from . import ParseError, _construct, _parse_part, _parts
 from .numbers import (
     ONE,
     ZERO,
@@ -308,7 +308,9 @@ def parse_plmap(text: str) -> PLMap:
     m = _PL_RE.match(text)
     if not m:
         raise ParseError("invalid PL map literal", text, 0)
-    ell = parse_number(m.group("ell"))
-    breaks = [parse_number(s) for s in m.group("breaks").split(",") if s.strip()]
-    slopes = [parse_number(s) for s in m.group("slopes").split(",") if s.strip()]
-    return PLMap(ell, tuple(breaks), tuple(slopes))
+    ell = _parse_part(text, (m.start("ell"), m.group("ell")), parse_number)
+    breaks, slopes = (
+        tuple(_parse_part(text, p, parse_number) for p in _parts(text, ",", *m.span(g)) if p[1])
+        for g in ("breaks", "slopes")
+    )
+    return _construct(text, PLMap, ell, breaks, slopes)

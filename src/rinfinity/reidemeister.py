@@ -63,6 +63,10 @@ class CharacterData:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.vectors):
             raise ValueError("need one label per vector")
+        if not self.vectors:
+            raise ValueError("need at least one character")
+        if len({len(v) for v in self.vectors}) > 1:
+            raise ValueError("character vectors must have the same length")
         for v in self.vectors:
             if all(x == 0 for x in v):
                 raise ValueError("characters must be nonzero")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from . import ParseError
+from . import ParseError, _construct, _parse_part, _parts
 from .numbers import ONE, AdditiveGroup, ExactNumber, SlopeGroup
 from .plmaps import PLGroupSpec, PLMap, is_member
 
@@ -300,10 +300,11 @@ class TreePair:
 
 
 def parse_treepair(text: str) -> TreePair:
-    parts = text.split("|")
+    parts = _parts(text, "|")
     if len(parts) != 2:
         raise ParseError("tree pair must look like minus|plus", text, 0)
-    return TreePair(parse_tree(parts[0].strip()), parse_tree(parts[1].strip()))
+    minus, plus = (_parse_part(text, part, parse_tree) for part in parts)
+    return _construct(text, TreePair, minus, plus)
 
 
 IDENTITY = TreePair(LEAF, LEAF)

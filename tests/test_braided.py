@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from rinfinity import ParseError
 from rinfinity.braided import (
     IDENTITY,
     BraidedDiagram,
@@ -224,3 +227,24 @@ def test_diagram_parse_roundtrip():
     gens = standard_generators()
     for d in gens.values():
         assert parse_diagram(str(d)) == d
+
+
+def test_parse_diagram_error_points_at_the_bad_token():
+    for text, bad in (
+        ("(..) | s1 | (.x)", "x)"),
+        ("(..) | s1 s5 | (..)", "s5"),
+        ("(x.) | e | (..)", "x"),
+        ("((..).) |s1 q2| (.(..))", "q2"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_diagram(text)
+        assert info.value.text == text
+        assert text[info.value.pos :].startswith(bad), (text, info.value.pos)
+
+
+def test_refused_diagram_literal_is_a_parse_error():
+    # Each part is well formed, but the trees' leaf counts differ.
+    text = "(..) | e | ."
+    with pytest.raises(ParseError, match="must agree") as info:
+        parse_diagram(text)
+    assert (info.value.pos, info.value.text) == (0, text)

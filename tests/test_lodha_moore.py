@@ -13,6 +13,7 @@ from rinfinity import ParseError, lodha_moore, treepairs
 from rinfinity.lodha_moore import (
     TAILS,
     VARIANTS,
+    DepthVerdict,
     LMLetter,
     LMWord,
     WordMachine,
@@ -377,12 +378,12 @@ def assert_witnessed(w1, w2, d):
 
 def test_slow_tail_walk_does_not_stop_the_search():
     # On 0^w, y(000) emits one bit per two read and the identity one per bit,
-    # so the walk from the start node never repeats a state.  At depth <= 2
-    # the words agree on every tested input; at depth 3 they differ on
-    # 000(10)^w.
-    assert not equal_up_to_depth(W(Y(0, 0, 0)), W(), 2).distinct
+    # so the walk from the start node never repeats a state.  The maps differ,
+    # so the words are distinct at every depth; at depth <= 2 the search
+    # finds no witness, and at depth 3 they differ on 000(10)^w.
+    assert equal_up_to_depth(W(Y(0, 0, 0)), W(), 2) == DepthVerdict(True, 2, None)
     assert_witnessed(W(Y(0, 0, 0)), W(), 4)
-    assert not equal_up_to_depth(W(Y()), W(Y(), Y(0, 0)), 1).distinct
+    assert equal_up_to_depth(W(Y()), W(Y(), Y(0, 0)), 1) == DepthVerdict(True, 1, None)
 
 
 def test_witness_names_the_input_that_differs():
@@ -600,12 +601,28 @@ def test_verdicts_match_the_search():
         for w1, w2, equal in verdict_pairs(rng, variant):
             for d in range(1, 13):
                 fast = equal_up_to_depth(w1, w2, d)
-                slow = lodha_moore._search(w1, w2, d)
-                assert (fast.distinct, fast.witness) == (slow.distinct, slow.witness)
-                assert fast.depth == slow.depth == d
-                assert fast.exact == equal and not slow.exact
-                if equal:
-                    assert not fast.distinct
+                assert fast.witness == lodha_moore._search(w1, w2, d)
+                assert fast.depth == d
+                assert fast.distinct != equal
+
+
+def test_distinct_exactly_when_the_maps_differ():
+    rng = random.Random(139)
+    for variant in VARIANTS:
+        for w1, w2, equal in verdict_pairs(rng, variant):
+            differ = word_map(w1) != word_map(w2)
+            assert differ != equal
+            for d in range(1, 13):
+                verdict = equal_up_to_depth(w1, w2, d)
+                assert verdict.distinct == differ
+                assert verdict.witness == lodha_moore._search(w1, w2, d)
+                if verdict.witness is not None:
+                    assert_witness_holds(w1, w2, verdict.witness)
+    # The search finds no witness for y(000) against 1 below depth 3, yet the
+    # verdict is "distinct" at every depth.
+    found = lodha_moore.Witness((0, 0, 0), "(10)^w", 4)
+    for d, witness in ((1, None), (2, None), (3, found), (4, found)):
+        assert equal_up_to_depth(W(Y(0, 0, 0)), W(), d) == DepthVerdict(True, d, witness)
 
 
 def test_equal_pairs_never_push(monkeypatch):
@@ -617,7 +634,7 @@ def test_equal_pairs_never_push(monkeypatch):
     for variant in VARIANTS:
         for w1, w2, equal in verdict_pairs(rng, variant):
             if equal:
-                assert equal_up_to_depth(w1, w2, 12).exact
+                assert equal_up_to_depth(w1, w2, 12) == DepthVerdict(False, 12)
         for s in all_addresses(2):
             for t in all_addresses(2):
                 checks = relation_suite(s, t, 12, variant)
@@ -625,9 +642,7 @@ def test_equal_pairs_never_push(monkeypatch):
     long_word = random_word(random.Random(137), "yGy", 1, 3)
     while len(long_word.letters) < 40:
         long_word = long_word * random_word(rng, "yGy", 1, 3)
-    assert equal_up_to_depth(long_word, long_word, 20) == lodha_moore.DepthVerdict(
-        False, 20, exact=True
-    )
+    assert equal_up_to_depth(long_word, long_word, 20) == DepthVerdict(False, 20)
 
 
 # F is the subgroup of G generated by the x-letters.  x_s is the element of

@@ -256,6 +256,36 @@ def test_zero_denominator_is_a_parse_error():
         parse_slope_group("<2,1/0>")
 
 
+def test_composite_number_literals_report_errors_in_the_whole_text():
+    for parse, text, bad in (
+        (parse_slope_group, "<2, x>", "x"),
+        (parse_slope_group, "  < 2 ,3,q>", "q"),
+        (parse_slope_group, "<2,1/0>", "0>"),
+        (parse_plmap, "pl ell=1 breaks=[1/2] slopes=[1/2,x]", "x"),
+        (parse_plmap, "pl ell=z breaks=[] slopes=[1]", "z"),
+        (parse_plmap, "pl ell=1 breaks=[1/2, 3/x] slopes=[1,1]", "x]"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.text == text
+        assert text[info.value.pos :].startswith(bad), (text, info.value.pos)
+
+
+def test_refused_slope_group_literal_is_a_parse_error():
+    # <1> is well formed, but 1 generates no slope group.
+    with pytest.raises(ParseError, match="!= 1") as info:
+        parse_slope_group("<1>")
+    assert (info.value.pos, info.value.text) == (0, "<1>")
+
+
+def test_refused_plmap_literal_is_a_parse_error():
+    # One breakpoint needs two slopes.
+    text = "pl ell=1 breaks=[1/2] slopes=[1/2]"
+    with pytest.raises(ParseError, match="one slope per segment") as info:
+        parse_plmap(text)
+    assert (info.value.pos, info.value.text) == (0, text)
+
+
 def assert_rational(x: ExactNumber, q: Fraction) -> None:
     """x is the rational q, stored the way every rational is stored."""
     assert type(x) is ExactNumber

@@ -42,6 +42,15 @@ def test_normalize_ray():
         normalize_ray((0, 0))
 
 
+def test_character_data_refuses_an_empty_or_ragged_set():
+    # Without the check, fixed_vector_certificate(CharacterData.of(), M)
+    # raised IndexError on the missing first ray.
+    with pytest.raises(ValueError, match="at least one"):
+        CharacterData.of()
+    with pytest.raises(ValueError, match="same length"):
+        CharacterData.of(a=(1, 0), b=(0, 1, 1))
+
+
 def test_pipeline_identity_action():
     chars = CharacterData.of(a=(-1, 0), b=(0, 1))
     result = fixed_vector_certificate(chars, IntMatrix.identity(2))

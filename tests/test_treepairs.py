@@ -423,6 +423,25 @@ def deep_pair(n):
     return TreePair(minus, tp.right_vine(n))
 
 
+def test_parse_treepair_error_points_at_the_bad_token():
+    for text, bad in (
+        ("(..)|(.x)", "x)"),
+        ("((..).) | (.(.))", ")"),
+        ("  (.x.)|(..)", "x"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_treepair(text)
+        assert info.value.text == text
+        assert text[info.value.pos :].startswith(bad), (text, info.value.pos)
+
+
+def test_refused_treepair_literal_is_a_parse_error():
+    # Both trees are well formed, but their leaf counts differ.
+    with pytest.raises(ParseError, match="equal leaf counts") as info:
+        parse_treepair("(..)|.")
+    assert (info.value.pos, info.value.text) == (0, "(..)|.")
+
+
 def test_deep_trees_format_parse_and_realize_without_recursion():
     d = deep_pair(5000)
     assert reduce(d) == d
