@@ -20,6 +20,7 @@ without importing `numbers`.  Modules:
 - intlinalg: Smith normal form, lattice quotients, and finitely generated
   abelian groups with automorphisms.
 - finite_groups: the groups of order <= 16 as multiplication tables,
+  built from cyclic groups by direct products and cyclic extensions;
   their automorphisms, and brute-force twisted classes.
 - reidemeister: character-invariance certificates for infinite
   Reidemeister numbers.

@@ -2,6 +2,12 @@
 full catalogue of groups of order <= 16, automorphism enumeration, and the
 brute-force twisted-conjugacy oracle.
 
+The catalogue is built from cyclic groups by direct products and one
+extension constructor: every non-abelian group in it is an extension of a
+normal subgroup N by a cyclic group C_m (`extension`), given by an
+automorphism alpha of N and an element t of N.  `semidirect_cyclic`,
+`dihedral` and `dicyclic` are such extensions of a cyclic N.
+
 Automorphisms are enumerated by images of a generating sequence
 g_0 .. g_{k-1}, as cosets of the stabilisers S_i of g_0 .. g_{i-1}: one
 representative per coset is found by a pruned search and verified on the
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 from operator import itemgetter
 
 
@@ -34,7 +41,7 @@ class FiniteGroup:
 
     @cached_property
     def order(self) -> int:
-        return int(len(self.table) ** 0.5 + 0.5)
+        return isqrt(len(self.table))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a * self.order + b]
@@ -135,35 +142,11 @@ class FiniteGroup:
         return tuple(parent[e] for e in range(self.order))
 
 
-def _table_from(elements: list, mul) -> tuple[int, ...]:
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    table = [0] * (n * n)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i * n + j] = index[mul(a, b)]
-    return tuple(table)
-
-
 def from_elements(name: str, identity, elements: list, mul) -> FiniteGroup:
     """Build a table group from abstract elements; identity is moved to 0."""
     ordered = [identity] + [e for e in elements if e != identity]
-    return FiniteGroup(name, _table_from(ordered, mul))
-
-
-def generate_closure(identity, generators: list, mul) -> list:
-    elements = [identity]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                elements.append(y)
-                frontier.append(y)
-    return elements
+    index = {e: i for i, e in enumerate(ordered)}
+    return FiniteGroup(name, tuple(index[mul(a, b)] for a in ordered for b in ordered))
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -180,16 +163,36 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> F
     )
 
 
-def semidirect_cyclic(n: int, m: int, k: int, name: str | None = None) -> FiniteGroup:
-    """C_n x| C_m with the generator of C_m acting by x -> x^k."""
-    if pow(k, m, n) != 1 % n:
-        raise ValueError("k^m must be 1 mod n")
-    elements = [(a, b) for a in range(n) for b in range(m)]
+def extension(n: FiniteGroup, m: int, alpha, t: int = 0, name: str | None = None) -> FiniteGroup:
+    """The extension of N = n by C_m = <s> in which s acts on N by alpha
+    (the images of 0..|N|-1) and s^m = t.  Its elements are the pairs
+    (a, b) = a s^b with a in N and 0 <= b < m, listed a-major, and
+    (a1, b1) (a2, b2) = (a1 alpha^b1(a2) t^[b1 + b2 >= m], (b1 + b2) mod m).
+    This is a group exactly when alpha is an automorphism of N, alpha(t) = t
+    and alpha^m is conjugation by t; with t = 0 it is N x| C_m."""
+    if not is_automorphism(n, alpha):
+        raise ValueError("alpha is not an automorphism of N")
+    if alpha[t] != t:
+        raise ValueError("alpha does not fix t")
+    powers = [tuple(range(n.order))]  # powers[b] is alpha^b
+    for _ in range(m):
+        powers.append(tuple(alpha[x] for x in powers[-1]))
+    if powers[m] != tuple(n.mul(n.mul(t, x), n.inverses[t]) for x in range(n.order)):
+        raise ValueError("alpha^m is not conjugation by t")
 
     def mul(p, q):
-        return ((p[0] + q[0] * pow(k, p[1], n)) % n, (p[1] + q[1]) % m)
+        (a1, b1), (a2, b2) = p, q
+        a = n.mul(a1, powers[b1][a2])
+        return (n.mul(a, t) if b1 + b2 >= m else a, (b1 + b2) % m)
 
-    return from_elements(name or f"C{n}:C{m}(k={k})", (0, 0), elements, mul)
+    elements = [(a, b) for a in range(n.order) for b in range(m)]
+    return from_elements(name or f"{n.name}.C{m}", (0, 0), elements, mul)
+
+
+def semidirect_cyclic(n: int, m: int, k: int, name: str | None = None) -> FiniteGroup:
+    """C_n x| C_m with the generator of C_m acting by x -> x^k."""
+    alpha = tuple(k * x % n for x in range(n))
+    return extension(cyclic(n), m, alpha, name=name or f"C{n}:C{m}(k={k})")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -199,77 +202,8 @@ def dihedral(n: int) -> FiniteGroup:
 def dicyclic(n: int) -> FiniteGroup:
     """Order 4n: <a, b | a^{2n} = 1, b^2 = a^n, bab^-1 = a^-1>; n = 2 is
     the quaternion group."""
-    two_n = 2 * n
-    elements = [(a, b) for a in range(two_n) for b in range(2)]
-
-    def mul(p, q):
-        a1, b1 = p
-        a2, b2 = q
-        a = (a1 + (a2 if b1 == 0 else -a2)) % two_n
-        if b1 and b2:
-            return ((a + n) % two_n, 0)
-        return (a, b1 ^ b2)
-
-    name = "Q8" if n == 2 else f"Dic{n}"
-    return from_elements(name, (0, 0), elements, mul)
-
-
-def alternating4() -> FiniteGroup:
-    perms = []
-    import itertools
-
-    for p in itertools.permutations(range(4)):
-        inversions = sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j])
-        if inversions % 2 == 0:
-            perms.append(p)
-    ident = (0, 1, 2, 3)
-    return from_elements("A4", ident, perms, lambda a, b: tuple(a[b[i]] for i in range(4)))
-
-
-def swap_action_group() -> FiniteGroup:
-    """(C2 x C2) x| C4 with the order-4 generator swapping the factors."""
-    elements = [(x, y, z) for x in range(2) for y in range(2) for z in range(4)]
-
-    def mul(p, q):
-        x1, y1, z1 = p
-        x2, y2, z2 = q
-        if z1 % 2:
-            x2, y2 = y2, x2
-        return ((x1 + x2) % 2, (y1 + y2) % 2, (z1 + z2) % 4)
-
-    return from_elements("(C2xC2):C4", (0, 0, 0), elements, mul)
-
-
-def pauli_group() -> FiniteGroup:
-    """Central product of D4 and C4: the 2x2 matrices generated by the two
-    real involutions [[0,1],[1,0]], [[1,0],[0,-1]] and i times the identity,
-    over the Gaussian integers."""
-
-    def mat_mul(a, b):
-        (a11, a12), (a21, a22) = (a[0], a[1]), (a[2], a[3])
-        (b11, b12), (b21, b22) = (b[0], b[1]), (b[2], b[3])
-
-        def cm(x, y):
-            return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-        def ca(x, y):
-            return (x[0] + y[0], x[1] + y[1])
-
-        return (
-            ca(cm(a11, b11), cm(a12, b21)),
-            ca(cm(a11, b12), cm(a12, b22)),
-            ca(cm(a21, b11), cm(a22, b21)),
-            ca(cm(a21, b12), cm(a22, b22)),
-        )
-
-    one, zero, i_unit = (1, 0), (0, 0), (0, 1)
-    ident = (one, zero, zero, one)
-    x = (zero, one, one, zero)
-    z = (one, zero, zero, (-1, 0))
-    i_ident = (i_unit, zero, zero, i_unit)
-    elements = generate_closure(ident, [x, z, i_ident], mat_mul)
-    assert len(elements) == 16
-    return from_elements("D4oC4", ident, elements, mat_mul)
+    negation = tuple(-x % (2 * n) for x in range(2 * n))
+    return extension(cyclic(2 * n), 2, negation, t=n, name="Q8" if n == 2 else f"Dic{n}")
 
 
 def abelian_group(invariants: tuple[int, ...]) -> FiniteGroup:
@@ -297,7 +231,9 @@ def small_groups_up_to_16() -> list[FiniteGroup]:
     )  # order 8 non-cyclic
     groups.append(abelian_group((3, 3)))  # order 9
     groups.append(dihedral(5))  # order 10
-    groups.extend([abelian_group((6, 2)), dihedral(6), alternating4(), dicyclic(3)])  # order 12
+    # A4: C3 cycles the three involutions of C2xC2
+    a4 = extension(abelian_group((2, 2)), 3, (0, 2, 3, 1), name="A4")
+    groups.extend([abelian_group((6, 2)), dihedral(6), a4, dicyclic(3)])  # order 12
     groups.append(dihedral(7))  # order 14
     groups.extend(
         [
@@ -313,8 +249,13 @@ def small_groups_up_to_16() -> list[FiniteGroup]:
             direct_product(dihedral(4), cyclic(2)),
             direct_product(dicyclic(2), cyclic(2)),
             semidirect_cyclic(4, 4, 3, name="C4:C4"),
-            swap_action_group(),
-            pauli_group(),
+            # C4 swaps the two factors
+            extension(abelian_group((2, 2)), 4, (0, 2, 1, 3), name="(C2xC2):C4"),
+            # the central product of D4 and C4: C2 acts on C2xC4 by
+            # (x, y) -> (x, y + 2x)
+            extension(
+                direct_product(cyclic(2), cyclic(4)), 2, (0, 1, 2, 3, 6, 7, 4, 5), name="D4oC4"
+            ),
         ]
     )
     return groups

@@ -113,9 +113,11 @@ def fixed_vector_certificate(chars: CharacterData, induced: IntMatrix) -> Pipeli
         return PipelineResult(False, "summed character is not invariant", None, summed)
     kernel = kernel_basis(induced - IntMatrix.identity(n))
     if not kernel:
+        # a nonzero invariant sum is fixed by the transpose, and then the
+        # matrix fixes a nonzero vector too: so here the characters sum to 0
         return PipelineResult(
             False,
-            "no eigenvalue-1 vector despite invariant characters (hypothesis violation)",
+            "the characters sum to zero and no nonzero vector is fixed: nothing to certify",
             None,
             summed,
         )

@@ -389,11 +389,9 @@ def to_pl(d: TreePair) -> PLMap:
 
 
 def _floor_log2(q: Fraction) -> int:
-    """floor(log2 q) for q > 0."""
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    if (q.numerator << max(-e, 0)) < (q.denominator << max(e, 0)):
-        e -= 1
-    return e
+    """floor(log2 q) for a dyadic rational q > 0: its denominator is 2^j,
+    so floor(log2 q) = floor(log2 p) - j for its numerator p."""
+    return q.numerator.bit_length() - q.denominator.bit_length()
 
 
 def _tree_from_depths(depths: list[int]) -> Tree:

@@ -4,24 +4,37 @@ import random
 from collections import Counter
 from math import gcd
 
+import pytest
+
 from rinfinity import finite_groups
 from rinfinity.finite_groups import (
     FiniteGroup,
     abelian_group,
-    alternating4,
     automorphisms,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
+    extension,
     is_automorphism,
-    pauli_group,
     semidirect_cyclic,
     small_groups_up_to_16,
-    swap_action_group,
     twisted_classes,
     _extend_checked,
 )
+
+
+def alternating4():
+    return extension(abelian_group((2, 2)), 3, (0, 2, 3, 1), name="A4")
+
+
+def swap_action_group():
+    return extension(abelian_group((2, 2)), 4, (0, 2, 1, 3), name="(C2xC2):C4")
+
+
+def pauli_group():
+    c2xc4 = direct_product(cyclic(2), cyclic(4))
+    return extension(c2xc4, 2, (0, 1, 2, 3, 6, 7, 4, 5), name="D4oC4")
 
 
 def test_small_group_counts_by_order():
@@ -55,6 +68,23 @@ def test_distinguishing_invariants_order_16():
         squares = tuple(sorted(Counter(g.mul(a, a) for a in range(16)).values()))
         fingerprints.append((g.is_abelian, orders, squares))
     assert len(set(fingerprints)) == 14
+
+
+def test_extension_refuses_non_group_data():
+    c2xc2, c4 = abelian_group((2, 2)), cyclic(4)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        extension(c2xc2, 2, (0, 1, 2, 2))
+    with pytest.raises(ValueError, match="not an automorphism"):
+        extension(c4, 2, (0, 2, 1, 3))  # a bijection, not a homomorphism
+    with pytest.raises(ValueError, match="does not fix t"):
+        extension(c2xc2, 2, (0, 2, 1, 3), t=1)  # the swap moves t = 1
+    with pytest.raises(ValueError, match="conjugation by t"):
+        extension(c2xc2, 2, (0, 2, 3, 1))  # the 3-cycle squared is not 1
+    with pytest.raises(ValueError, match="conjugation by t"):
+        extension(c4, 3, (0, 3, 2, 1), t=2)  # negation cubed is not 1
+    with pytest.raises(ValueError, match="conjugation by t"):
+        # t = 1 is a reflection of D3, so conjugation by it is not 1
+        extension(dihedral(3), 2, tuple(range(6)), t=1)
 
 
 def test_q8_has_unique_involution():

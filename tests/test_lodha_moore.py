@@ -16,6 +16,7 @@ from rinfinity.lodha_moore import (
     DepthVerdict,
     LMLetter,
     LMWord,
+    Witness,
     WordMachine,
     character_value,
     characters,
@@ -153,6 +154,22 @@ def test_relation_suite_spot():
     assert by_name["square"].status == "pass"
     checks_g = relation_suite((0,), (1,), 12, "G")
     assert {c.status for c in checks_g} <= {"pass", "skipped"}
+
+
+def test_relation_suite_reports_a_failing_instance(monkeypatch):
+    # every instance that is not skipped fails, with the witness as detail;
+    # here x_s(t) is undefined, so the two conjugation relations are skipped
+    witness = Witness((0, 1), "1^w", 7)
+    for found, detail in ((witness, "input 011^w, first difference at output bit 7"),
+                          (None, "no witness found at depth 5")):
+        monkeypatch.setattr(
+            lodha_moore, "equal_up_to_depth", lambda w1, w2, d: DepthVerdict(True, d, found)
+        )
+        checks = relation_suite((0,), (1,), 5, "yGy")
+        failed = [c for c in checks if c.status == "fail"]
+        assert [c.relation for c in failed] == ["square", "commute", "expand"]
+        assert {c.detail for c in failed} == {detail}
+        assert detail == str(found or "no witness found at depth 5")
 
 
 def test_homeomorphism_roundtrip():
@@ -550,6 +567,38 @@ def test_word_map_matches_case_rule_oracle():
                 out = oracle_image(w, prefix, (tail_bit,), 16)
                 for j in range(1, 17):
                     assert phi(out[:j], 0) <= image <= phi(out[:j], 1), (str(w), prefix, j)
+
+
+def exact_log2(q):
+    k = q.numerator.bit_length() - q.denominator.bit_length()
+    assert q == Fraction(2) ** k, q
+    return k
+
+
+def test_characters_are_the_germs_of_the_map():
+    # At 0 the first piece is (a, 0, c, d), at inf the last is (A, B, 0, D):
+    # psi0 = log2(a/d), psi1 = log2(A/D), and where the germ is parabolic,
+    # chi0 = c/a and chi1 = B/D.
+    rng = random.Random(127)
+    for variant in VARIANTS:
+        for _ in range(100):
+            w = random_word(rng, variant, 16, 4)
+            pieces = word_map(w)
+            a, b, c, d = pieces[0][2]
+            A, B, C, D = pieces[-1][2]
+            assert b == 0 and C == 0
+            germs = {}
+            if "psi0" in characters(w):
+                germs["psi0"] = exact_log2(Fraction(a, d))
+            else:
+                assert a == d
+                germs["chi0"] = Fraction(c, a)
+            if "psi1" in characters(w):
+                germs["psi1"] = exact_log2(Fraction(A, D))
+            else:
+                assert A == D
+                germs["chi1"] = Fraction(B, D)
+            assert germs == characters(w), str(w)
 
 
 def test_relations_give_equal_maps():

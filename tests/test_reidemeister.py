@@ -77,6 +77,38 @@ def test_pipeline_rejects_negation():
     assert "does not preserve" in result.reason
 
 
+def test_pipeline_refuses_a_dying_character():
+    chars = CharacterData.of(a=(1, 0), b=(0, 1))
+    result = fixed_vector_certificate(chars, IntMatrix.of([[1, 0], [0, 0]]))
+    assert not result.ok
+    assert result.reason == "a character dies under the action"
+
+
+def test_pipeline_refuses_a_non_invariant_sum():
+    # 2I keeps every ray but doubles the summed character (1, 1)
+    chars = CharacterData.of(a=(1, 0), b=(0, 1))
+    result = fixed_vector_certificate(chars, IntMatrix.of([[2, 0], [0, 2]]))
+    assert not result.ok
+    assert result.reason == "summed character is not invariant"
+    assert result.summed_character == (1, 1)
+
+
+def test_pipeline_refuses_a_zero_sum_without_fixed_vector():
+    # -I swaps the opposite rays; their sum is 0 and -I fixes no vector
+    chars = CharacterData.of(a=(1, 0), b=(-1, 0))
+    result = fixed_vector_certificate(chars, IntMatrix.of([[-1, 0], [0, -1]]))
+    assert not result.ok
+    assert "sum to zero" in result.reason
+    assert result.summed_character == (0, 0)
+
+
+def test_pipeline_zero_sum_with_fixed_vector_is_ok():
+    chars = CharacterData.of(a=(1, 0), b=(-1, 0))
+    result = fixed_vector_certificate(chars, IntMatrix.identity(2))
+    assert result.ok
+    assert result.summed_character == (0, 0)
+
+
 def test_swap_matrix_construction():
     chars = CharacterData.of(phi0=(-1, 0), phi1=(1, 1))
     m = swap_matrix(chars)
