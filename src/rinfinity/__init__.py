@@ -1,7 +1,11 @@
 """Exact computational toolkit for Thompson-like groups.
 
 `ParseError` is defined here, so that a module can parse its literals
-without importing `numbers`.  Modules:
+without importing `numbers`.  So is `_Value`, the base of every value
+type (tree pairs, diagrams, words, verdicts, maps, matrices): they are
+plain slotted classes, because importing the standard library's data
+class generator (with `inspect` behind it) and generating each class's
+methods cost more than a workload's own set-up.  Modules:
 
 - numbers: exact arithmetic in Q and Q(sqrt5), and the additive and
   multiplicative subgroups of R that PL groups are built from.
@@ -39,6 +43,40 @@ class ParseError(ValueError):
         self.message = message
         self.text = text
         self.pos = pos
+
+
+class _Value:
+    """An immutable value whose fields are the names in `__slots__` (a
+    class with cached properties adds "__dict__", which is not a field).
+    Its `__init__` sets each field once with `object.__setattr__`; after
+    that, equality, hashing, repr and pickling read the fields in order."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in type(self).__slots__ if name != "__dict__"])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        names = [name for name in type(self).__slots__ if name != "__dict__"]
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
 
 
 # Composite literals (tree pairs, diagrams, slope groups, PL maps) parse their

@@ -11,9 +11,7 @@ position i over position i+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import ParseError, _construct, _parse_part, _parts
+from . import ParseError, _Value, _construct, _parse_part, _parts
 from .braids import BraidWord, braid_equal, cable, format_braid, parse_braid
 from .treepairs import (
     CARET,
@@ -30,13 +28,13 @@ from .treepairs import (
 )
 
 
-@dataclass(frozen=True)
-class BraidedDiagram:
-    minus: Tree
-    braid: BraidWord
-    plus: Tree
+class BraidedDiagram(_Value):
+    __slots__ = ("minus", "braid", "plus")
 
-    def __post_init__(self) -> None:
+    def __init__(self, minus: Tree, braid: BraidWord, plus: Tree) -> None:
+        object.__setattr__(self, "minus", minus)
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "plus", plus)
         n = self.minus.leaves
         if self.plus.leaves != n or self.braid.n != n:
             raise ValueError("leaf counts and strand count must agree")

@@ -21,21 +21,19 @@ implementation bugs: breaching it raises, never lies.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
-from . import ParseError
+from . import ParseError, _Value
 
 
 class HandleReductionCap(RuntimeError):
     """The handle-reduction iteration cap was hit; result unknown."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    n: int
-    letters: tuple[int, ...] = ()
+class BraidWord(_Value):
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, letters: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
         if self.n < 1:
             raise ValueError("need at least one strand")
         for l in self.letters:

@@ -20,18 +20,19 @@ table[a * n + b] = a * b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 from operator import itemgetter
 
+from . import _Value
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    name: str
-    table: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+class FiniteGroup(_Value):
+    __slots__ = ("name", "table", "__dict__")
+
+    def __init__(self, name: str, table: tuple[int, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "table", table)
         n = self.order
         if len(self.table) != n * n:
             raise ValueError("table size is not a perfect square")

@@ -14,16 +14,17 @@ Everything uses Python big integers; matrices are immutable row tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf, prod
 
+from . import _Value
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+class IntMatrix(_Value):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "rows", rows)
         if self.rows and any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ValueError("ragged matrix")
 
@@ -68,6 +69,8 @@ class IntMatrix:
         )
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("dimension mismatch")
         return IntMatrix(
             tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
         )
@@ -82,13 +85,15 @@ class IntMatrix:
         return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "]"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Value):
     """U * M * V == S with U, V unimodular and S diagonal, d1 | d2 | ..."""
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
+    __slots__ = ("u", "s", "v", "__dict__")
+
+    def __init__(self, u: IntMatrix, s: IntMatrix, v: IntMatrix) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "v", v)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -205,12 +210,14 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     return smith_normal_form(m).kernel()
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(_Value):
     """Invariant-factor description of a finitely generated abelian group."""
 
-    torsion: tuple[int, ...]  # invariant factors > 1, divisibility chain
-    free_rank: int
+    __slots__ = ("torsion", "free_rank")  # torsion: invariant factors > 1, divisibility chain
+
+    def __init__(self, torsion: tuple[int, ...], free_rank: int) -> None:
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "free_rank", free_rank)
 
     @property
     def order(self) -> int | float:
@@ -258,14 +265,14 @@ def lattice_quotient(gens: list[tuple[int, ...]], rels: list[tuple[int, ...]], n
     return FGAbelianGroup.from_relator_columns(r, coords).structure()
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(_Value):
     """Z^n modulo the column span of a relator matrix."""
 
-    n: int
-    relators: IntMatrix  # n x k, columns are relators
+    __slots__ = ("n", "relators", "__dict__")  # relators: n x k, columns are relators
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, relators: IntMatrix) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "relators", relators)
         if self.relators.nrows != self.n:
             raise ValueError("relator matrix has wrong height")
 
@@ -293,15 +300,15 @@ class FGAbelianGroup:
         return self.decomposition.solve(vec) is not None
 
 
-@dataclass(frozen=True)
-class AbelianAuto:
+class AbelianAuto(_Value):
     """Automorphism of Z^n / relators, given by an integer matrix that
     descends to the quotient and is invertible on it."""
 
-    group: FGAbelianGroup
-    matrix: IntMatrix
+    __slots__ = ("group", "matrix", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(self, group: FGAbelianGroup, matrix: IntMatrix) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "matrix", matrix)
         n = self.group.n
         if self.matrix.nrows != n or self.matrix.ncols != n:
             raise ValueError("matrix must be n x n")
@@ -327,14 +334,16 @@ class AbelianAuto:
         return smith_normal_form(IntMatrix.from_columns(cols + self.group.relators.columns()))
 
 
-@dataclass(frozen=True)
-class FixedSubgroup:
+class FixedSubgroup(_Value):
     """Fix(phi) on Z^n / relators: its structure, and generators given as
     fixed representatives in Z^n (M g - g lies in the relator span), each
     nonzero in the quotient."""
 
-    structure: GroupStructure
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ("structure", "generators")
+
+    def __init__(self, structure: GroupStructure, generators: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def order(self) -> int | float:

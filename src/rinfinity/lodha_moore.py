@@ -43,11 +43,10 @@ replaying the walked input names the first differing output bit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from . import ParseError
+from . import ParseError, _Value
 
 Bits = tuple[int, ...]
 
@@ -69,13 +68,13 @@ def y_address_allowed(addr: Bits, variant: str) -> bool:
     return all(end in _Y_ENDS[variant] or not is_constant(addr, end) for end in (0, 1))
 
 
-@dataclass(frozen=True)
-class LMLetter:
-    kind: str  # 'x' or 'y'
-    address: Bits
-    sign: int = 1
+class LMLetter(_Value):
+    __slots__ = ("kind", "address", "sign")  # kind: 'x' or 'y'
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, address: Bits, sign: int = 1) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "address", address)
+        object.__setattr__(self, "sign", sign)
         if self.kind not in ("x", "y"):
             raise ValueError("letter kind must be 'x' or 'y'")
         if self.sign not in (1, -1):
@@ -91,12 +90,12 @@ class LMLetter:
         return f"{self.kind}({addr})" + ("'" if self.sign < 0 else "")
 
 
-@dataclass(frozen=True)
-class LMWord:
-    letters: tuple[LMLetter, ...]
-    variant: str = "yGy"
+class LMWord(_Value):
+    __slots__ = ("letters", "variant")
 
-    def __post_init__(self) -> None:
+    def __init__(self, letters: tuple[LMLetter, ...], variant: str = "yGy") -> None:
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "variant", variant)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         for l in self.letters:
@@ -304,30 +303,34 @@ def word_map(word: LMWord) -> PiecewiseMap:
 # --- equality -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """A concrete input, `prefix` followed by the periodic `tail` (a key of
     `TAILS`), and the index of the first output bit at which the two
     words' images of it differ."""
 
-    prefix: Bits
-    tail: str
-    position: int
+    __slots__ = ("prefix", "tail", "position")
+
+    def __init__(self, prefix: Bits, tail: str, position: int) -> None:
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "position", position)
 
     def __str__(self) -> str:
         pre = "".join(map(str, self.prefix)) or "ø"
         return f"input {pre}{self.tail}, first difference at output bit {self.position}"
 
 
-@dataclass(frozen=True)
-class DepthVerdict:
+class DepthVerdict(_Value):
     """The exact verdict of `equal_up_to_depth`: `distinct` exactly when the
     two words' maps differ.  A distinct verdict carries the witness that the
     search at `depth` found, or None where it found none."""
 
-    distinct: bool
-    depth: int
-    witness: Witness | None = None
+    __slots__ = ("distinct", "depth", "witness")
+
+    def __init__(self, distinct: bool, depth: int, witness: Witness | None = None) -> None:
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "witness", witness)
 
 
 def equal_up_to_depth(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
@@ -413,12 +416,14 @@ def _certify(m1: WordMachine, m2: WordMachine, prefix: Bits, tail: str, n: int) 
 # --- relations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    relation: str
-    instance: str
-    status: str  # 'pass' | 'fail' | 'skipped'
-    detail: str = ""
+class RelationCheck(_Value):
+    __slots__ = ("relation", "instance", "status", "detail")  # status: 'pass' | 'fail' | 'skipped'
+
+    def __init__(self, relation: str, instance: str, status: str, detail: str = "") -> None:
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
 
 
 def relation_suite(s: Bits, t: Bits, d: int, variant: str = "yGy") -> list[RelationCheck]:

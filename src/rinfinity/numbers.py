@@ -18,11 +18,10 @@ anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import ParseError, _construct, _parse_part, _parts
+from . import ParseError, _Value, _construct, _parse_part, _parts
 
 
 def _exact_field(value) -> Fraction:
@@ -100,17 +99,16 @@ def _scaled_inverse(x: ExactNumber) -> tuple[int, int, int]:
     return (n * e - m * d) * de, -m * d * de, n * n * e * e - n * m * de - m * m * d * d
 
 
-@dataclass(frozen=True)
-class ExactNumber:
+class ExactNumber(_Value):
     """Element a + b*t of Q(sqrt5), with t = (sqrt(5)-1)/2, so t*t = 1 - t."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if type(self.a) is not Fraction or type(self.b) is not Fraction:
-            object.__setattr__(self, "a", _exact_field(self.a))
-            object.__setattr__(self, "b", _exact_field(self.b))
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0)) -> None:
+        if type(a) is not Fraction or type(b) is not Fraction:
+            a, b = _exact_field(a), _exact_field(b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @staticmethod
     def of(value) -> ExactNumber:
@@ -323,18 +321,18 @@ class NonMember(ValueError):
     """A value was asked to factor over a group it does not belong to."""
 
 
-@dataclass(frozen=True)
-class AdditiveGroup:
+class AdditiveGroup(_Value):
     """Additive subgroup of R: Z[1/n], Z[t], or all of Q.
 
     kind is one of 'zinv' (denominators divide a power of n), 'ztau'
     (integer coordinates in the (1, t) basis), 'rational'.
     """
 
-    kind: str
-    n: int | None = None
+    __slots__ = ("kind", "n")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, n: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
         if self.kind not in ("zinv", "ztau", "rational"):
             raise ValueError(f"unknown additive group kind {self.kind!r}")
         if self.kind == "zinv" and (self.n is None or self.n < 2):
@@ -416,8 +414,7 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     return n, e
 
 
-@dataclass(frozen=True)
-class SlopeGroup:
+class SlopeGroup(_Value):
     """Finitely generated multiplicative subgroup of the positive reals.
 
     Generators must be > 0, != 1, and multiplicatively independent, so
@@ -429,9 +426,10 @@ class SlopeGroup:
     two or more generators, whose independence is not checked.
     """
 
-    generators: tuple[ExactNumber, ...]
+    __slots__ = ("generators", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(self, generators: tuple[ExactNumber, ...]) -> None:
+        object.__setattr__(self, "generators", generators)
         if not self.generators:
             raise ValueError("slope group needs at least one generator")
         for g in self.generators:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 
-from . import ParseError, _construct, _parse_part, _parts
+from . import ParseError, _Value, _construct, _parse_part, _parts
 from .numbers import (
     ONE,
     ZERO,
@@ -35,13 +34,18 @@ from .numbers import (
 )
 
 
-@dataclass(frozen=True)
-class PLMap:
-    ell: ExactNumber
-    breakpoints: tuple[ExactNumber, ...]
-    slopes: tuple[ExactNumber, ...]
+class PLMap(_Value):
+    __slots__ = ("ell", "breakpoints", "slopes", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        ell: ExactNumber,
+        breakpoints: tuple[ExactNumber, ...],
+        slopes: tuple[ExactNumber, ...],
+    ) -> None:
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "slopes", slopes)
         if self.ell.sign() <= 0:
             raise ValueError("right endpoint must be positive")
         if len(self.slopes) != len(self.breakpoints) + 1:
@@ -208,16 +212,16 @@ def support(f: PLMap) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PLGroupSpec:
+class PLGroupSpec(_Value):
     """The group of PL self-homeomorphisms of [0, ell] with singularities
     (and their images) in A and slopes in P."""
 
-    ell: ExactNumber
-    singularities: AdditiveGroup
-    slopes: SlopeGroup
+    __slots__ = ("ell", "singularities", "slopes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ell: ExactNumber, singularities: AdditiveGroup, slopes: SlopeGroup) -> None:
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "singularities", singularities)
+        object.__setattr__(self, "slopes", slopes)
         # A is Z[1/n], Z[t] or Q, a ring with 1, so p A = A exactly when p
         # and 1/p lie in A; checking each generator of P checks all of P.
         if not self.singularities.contains(self.ell):
@@ -230,10 +234,12 @@ class PLGroupSpec:
         return f"G([0,{format_number(self.ell)}]; {self.singularities}, {self.slopes})"
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    ok: bool
-    violations: tuple[str, ...]
+class MembershipReport(_Value):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
 
 def is_member(f: PLMap, spec: PLGroupSpec) -> MembershipReport:

@@ -10,9 +10,9 @@ and re-exports the abelian ones for convenience.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from . import _Value
 from .intlinalg import (
     AbelianAuto,
     FGAbelianGroup,
@@ -52,15 +52,15 @@ def normalize_ray(vector: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x // g for x in vector)
 
 
-@dataclass(frozen=True)
-class CharacterData:
+class CharacterData(_Value):
     """Finitely many integer characters given by their values on a fixed
     generating set (one vector per character)."""
 
-    labels: tuple[str, ...]
-    vectors: tuple[tuple[int, ...], ...]
+    __slots__ = ("labels", "vectors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, labels: tuple[str, ...], vectors: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "vectors", vectors)
         if len(self.labels) != len(self.vectors):
             raise ValueError("need one label per vector")
         if not self.vectors:
@@ -77,12 +77,20 @@ class CharacterData:
         return CharacterData(labels, tuple(tuple(v) for v in named_vectors.values()))
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    ok: bool
-    reason: str
-    fixed_vector: tuple[int, ...] | None = None
-    summed_character: tuple[int, ...] | None = None
+class PipelineResult(_Value):
+    __slots__ = ("ok", "reason", "fixed_vector", "summed_character")
+
+    def __init__(
+        self,
+        ok: bool,
+        reason: str,
+        fixed_vector: tuple[int, ...] | None = None,
+        summed_character: tuple[int, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "fixed_vector", fixed_vector)
+        object.__setattr__(self, "summed_character", summed_character)
 
 
 def fixed_vector_certificate(chars: CharacterData, induced: IntMatrix) -> PipelineResult:
@@ -97,9 +105,10 @@ def fixed_vector_certificate(chars: CharacterData, induced: IntMatrix) -> Pipeli
     if induced.ncols != n:
         raise ValueError("induced matrix must be square")
     rays = [normalize_ray(v) for v in chars.vectors]
+    transpose = induced.transpose()
     images = []
     for v in rays:
-        image = tuple(induced.transpose().apply(v))
+        image = transpose.apply(v)
         if all(x == 0 for x in image):
             return PipelineResult(False, "a character dies under the action")
         images.append(normalize_ray(image))
@@ -109,7 +118,7 @@ def fixed_vector_certificate(chars: CharacterData, induced: IntMatrix) -> Pipeli
             "the action does not preserve the character set up to positive scalars",
         )
     summed = tuple(sum(v[i] for v in rays) for i in range(len(rays[0])))
-    if tuple(induced.transpose().apply(summed)) != summed:
+    if transpose.apply(summed) != summed:
         return PipelineResult(False, "summed character is not invariant", None, summed)
     kernel = kernel_basis(induced - IntMatrix.identity(n))
     if not kernel:

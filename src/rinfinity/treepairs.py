@@ -10,16 +10,15 @@ right) matches composition of maps, left factor applied last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from . import ParseError, _construct, _parse_part, _parts
+from . import ParseError, _Value, _construct, _parse_part, _parts
 from .numbers import ONE, AdditiveGroup, ExactNumber, SlopeGroup
 from .plmaps import PLGroupSpec, PLMap, is_member
 
 
-class Tree:
+class Tree(_Value):
     """An immutable leaf (children is None) or caret with two subtrees.
     `leaves` is the leaf count, set from the children on construction."""
 
@@ -29,12 +28,6 @@ class Tree:
         leaves = 1 if children is None else children[0].leaves + children[1].leaves
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "leaves", leaves)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Tree is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Tree is immutable: cannot delete {name!r}")
 
     def __reduce__(self) -> tuple:
         return Tree, (self.children,)
@@ -282,12 +275,12 @@ def parse_tree(text: str) -> Tree:
     return t
 
 
-@dataclass(frozen=True)
-class TreePair:
-    minus: Tree
-    plus: Tree
+class TreePair(_Value):
+    __slots__ = ("minus", "plus")
 
-    def __post_init__(self) -> None:
+    def __init__(self, minus: Tree, plus: Tree) -> None:
+        object.__setattr__(self, "minus", minus)
+        object.__setattr__(self, "plus", plus)
         if self.minus.leaves != self.plus.leaves:
             raise ValueError("trees must have equal leaf counts")
 

@@ -205,6 +205,18 @@ def test_inverse_unimodular():
         assert u * inverse_unimodular(u) == IntMatrix.identity(n)
 
 
+def test_matrix_arithmetic_rejects_mismatched_shapes():
+    a, row = IntMatrix.of([[1, 2], [3, 4]]), IntMatrix.of([[1, 2]])
+    assert a - a == IntMatrix.of([[0, 0], [0, 0]])
+    for x, y in ((row, IntMatrix.of([[1]])), (a, row), (row, a), (IntMatrix(((), ())), IntMatrix(()))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            x - y
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a * IntMatrix.of([[1, 2, 3]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a.apply((1, 2, 3))
+
+
 def test_snf_diagonal_matches_sympy_invariant_factors():
     rng = random.Random(23)
     for trial in range(300):

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from rinfinity.numbers import ExactNumber, ParseError
-from rinfinity.plmaps import PLMap, compose
+from rinfinity.numbers import ExactNumber, ParseError, SlopeGroup
+from rinfinity.plmaps import PLMap, compose, endpoint_characters
 from rinfinity import treepairs as tp
 from rinfinity.treepairs import (
     IDENTITY,
@@ -165,6 +165,7 @@ def test_characters_match_pl_slopes():
         f = to_pl(d)
         assert f.initial_slope == R(2) ** left
         assert f.final_slope == R(2) ** right
+        assert endpoint_characters(f, SlopeGroup.of(2)) == ((left,), (right,))
 
 
 def test_characters_invariant_under_expansion():
