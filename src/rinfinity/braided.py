@@ -12,7 +12,7 @@ position i over position i+1.
 from __future__ import annotations
 
 from . import ParseError, _Value, _construct, _parse_part, _parts
-from .braids import BraidWord, braid_equal, cable, format_braid, parse_braid
+from .braids import BraidWord, _cable, braid_equal, cable, format_braid, parse_braid
 from .treepairs import (
     CARET,
     LEAF,
@@ -66,9 +66,9 @@ def expansion(d: BraidedDiagram, leaf: int, subtree: Tree = CARET) -> BraidedDia
         raise ValueError(f"leaf {leaf} out of range")
     partner = d.braid.permutation()[leaf - 1]
     return BraidedDiagram(
-        _graft(d.minus, leaf, subtree),
+        _graft(d.minus, [(leaf, subtree)]),
         cable(d.braid, leaf, subtree.leaves),
-        _graft(d.plus, partner, subtree),
+        _graft(d.plus, [(partner, subtree)]),
     )
 
 
@@ -78,14 +78,18 @@ def inverse(d: BraidedDiagram) -> BraidedDiagram:
 
 def multiply(d1: BraidedDiagram, d2: BraidedDiagram) -> BraidedDiagram:
     """Glue plus(d1) to minus(d2) after expanding both to their common
-    refinement as `treepairs.multiply` does, a site on plus(d1) at the minus
-    leaf whose strand reaches it; the braids concatenate."""
-    grow1, grow2 = _growth(d1.plus, d2.minus), _growth(d2.minus, d1.plus)
-    for leaf, subtree in reversed(grow1):
-        d1 = expansion(d1, d1.braid.permutation().index(leaf) + 1, subtree)
-    for leaf, subtree in reversed(grow2):
-        d2 = expansion(d2, leaf, subtree)
-    return BraidedDiagram(d1.minus, d1.braid * d2.braid, d2.plus)
+    refinement, as `treepairs.multiply` does.  A site on plus(d1) grows the
+    minus leaf whose strand reaches it, a site on minus(d2) the plus leaf
+    its strand reaches, and each braid cables its grown strands in one
+    pass; the braids concatenate.  Only minus(d1) and plus(d2) are kept."""
+    grow1, grow2 = _growth(d1.plus, d2.minus)
+    starts = d1.braid.inverse().permutation() if grow1 else ()
+    sites1 = sorted((starts[leaf - 1], subtree) for leaf, subtree in grow1)
+    ends = d2.braid.permutation() if grow2 else ()
+    sites2 = sorted((ends[leaf - 1], subtree) for leaf, subtree in grow2)
+    braid1 = _cable(d1.braid, {s: subtree.leaves for s, subtree in sites1})
+    braid2 = _cable(d2.braid, {s: subtree.leaves for s, subtree in grow2})
+    return BraidedDiagram(_graft(d1.minus, sites1), braid1 * braid2, _graft(d2.plus, sites2))
 
 
 def is_identity(d: BraidedDiagram) -> bool:

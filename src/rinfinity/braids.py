@@ -5,15 +5,20 @@ strand in position i passes over position i+1), -i its inverse.  Strands
 are labeled by their starting positions 1..n; the permutation sends start
 position to end position.
 
-Equality is decided by free reduction plus Dehornoy handle reduction,
-after a pairwise-crossing-count fast path.  The crossing counts also
+Equality is decided by free reduction plus handle reduction (Dehornoy,
+"A fast method for comparing braids", Adv. Math. 125 (1997)), after a
+pairwise-crossing-count fast path.  The crossing counts also
 decide the permutation (the parity of a pair's count says whether those
 two strands swapped) and the exponent sum (the sum of the counts), so
 neither needs a screen of its own.  A handle is a factor
 sigma_i^e v sigma_i^{-e} where v uses neither index i nor i-1; removing
 it rewrites each sigma_{i+1}^d in v as sigma_{i+1}^{-e} sigma_i^d
 sigma_{i+1}^{e}.  A freely reduced word with no handle is either empty
-or sigma-definite in its lowest index, hence nontrivial.  Handle
+or sigma-definite in its lowest index, hence nontrivial.  One stack pass
+moves the letters from a freely reduced `todo` onto a freely reduced,
+handle-free `out`; a letter that closes a handle pops it from `out` and
+pushes its rewrite back onto `todo`.  That removes the handles in the
+order that rescanning the word for the leftmost-ending one would.  Handle
 reduction terminates, but a generous iteration cap guards against
 implementation bugs: breaching it raises, never lies.
 """
@@ -36,9 +41,9 @@ class BraidWord(_Value):
         object.__setattr__(self, "letters", letters)
         if self.n < 1:
             raise ValueError("need at least one strand")
-        for l in self.letters:
-            if l == 0 or abs(l) >= self.n:
-                raise ValueError(f"letter {l} out of range for {self.n} strands")
+        if letters and (0 in letters or min(letters) <= -n or max(letters) >= n):
+            bad = next(l for l in letters if l == 0 or abs(l) >= n)
+            raise ValueError(f"letter {bad} out of range for {n} strands")
 
     @staticmethod
     def identity(n: int) -> BraidWord:
@@ -87,56 +92,50 @@ class BraidWord(_Value):
         return format_braid(self)
 
 
-def _free_reduce(letters) -> list[int]:
-    """Cancel adjacent inverse letters until none remain."""
-    out: list[int] = []
+def _push_reduced(stack: list[int], letters) -> list[int]:
+    """Push the letters onto a freely reduced stack, each cancelling the
+    top when they are inverse, so that the stack stays freely reduced."""
     for l in letters:
-        if out and out[-1] == -l:
-            out.pop()
+        if stack and stack[-1] == -l:
+            stack.pop()
         else:
-            out.append(l)
-    return out
-
-
-def _find_handle(letters: list[int]) -> tuple[int, int] | None:
-    """Leftmost-ending handle (p, q): letters[p] = -letters[q] = sigma_i^e
-    with no index i or i-1 strictly between."""
-    last_seen: dict[int, int] = {}
-    for q, l in enumerate(letters):
-        i = abs(l)
-        p = last_seen.get(i)
-        if p is not None and letters[p] == -l and last_seen.get(i - 1, -1) < p:
-            return p, q
-        last_seen[i] = q
-    return None
+            stack.append(l)
+    return stack
 
 
 def handle_reduce(word: BraidWord) -> BraidWord:
     """Fully handle-reduce the word; the result is empty iff the braid is
     trivial."""
-    letters = _free_reduce(word.letters)
-    cap = 4000 + 400 * len(letters) * len(letters)
+    todo = _push_reduced([], reversed(word.letters))  # the next letter on top
+    cap = 4000 + 400 * len(todo) * len(todo)
     steps = 0
-    while True:
-        found = _find_handle(letters)
-        if found is None:
-            return BraidWord(word.n, tuple(letters))
+    out: list[int] = []
+    where: list[list[int]] = [[] for _ in range(word.n)]  # positions in out, by index
+    while todo:
+        l = todo.pop()
+        i = abs(l)
+        if out and out[-1] == -l:
+            out.pop()
+            where[i].pop()
+            continue
+        at, below = where[i], where[i - 1]
+        if not at or out[at[-1]] != -l or (below and below[-1] > at[-1]):
+            at.append(len(out))
+            out.append(l)
+            continue
         steps += 1
         if steps > cap:
             raise HandleReductionCap(f"no normal form after {steps} handle reductions")
-        p, q = found
-        e = 1 if letters[p] > 0 else -1
-        i = abs(letters[p])
-        replacement: list[int] = []
-        for l in letters[p + 1 : q]:
-            if abs(l) == i + 1:
-                d = 1 if l > 0 else -1
-                replacement += [-e * (i + 1), d * i, e * (i + 1)]
-            else:
-                replacement.append(l)
-        letters[p : q + 1] = replacement
-        # interleave free reduction to keep words short
-        letters = _free_reduce(letters)
+        # out[p] = sigma_i^e.  The letters between go back onto todo, last
+        # first, each sigma_{i+1}^d as sigma_{i+1}^-e sigma_i^d sigma_{i+1}^e.
+        p = at[-1]
+        up = i + 1 if l < 0 else -i - 1
+        for m in reversed(out[p + 1 :]):
+            _push_reduced(todo, (up, i if m > 0 else -i, -up) if abs(m) == i + 1 else (m,))
+        for m in out[p:]:
+            where[abs(m)].pop()
+        del out[p:]
+    return BraidWord(word.n, tuple(out))
 
 
 def braid_equal(b1: BraidWord, b2: BraidWord) -> bool:
@@ -163,6 +162,30 @@ def _block_cross(base: int, u: int, v: int, sign: int) -> list[int]:
     return [-(l) for l in reversed(_block_cross(base, v, u, 1))]
 
 
+def _cable(b: BraidWord, widths: dict[int, int]) -> BraidWord:
+    """Replace each strand s (by start position) in `widths` by widths[s]
+    parallel strands, all in one pass, rewriting each crossing as a block
+    crossing.  The block at position p+1 is width[p] strands wide and
+    begins at start[p]; a crossing at positions i, i+1 moves only start[i]."""
+    if not widths:
+        return b
+    width = [widths.get(s, 1) for s in range(1, b.n + 1)]
+    start = [1] * b.n
+    for p in range(1, b.n):
+        start[p] = start[p - 1] + width[p - 1]
+    out: list[int] = []
+    for l in b.letters:
+        i = abs(l)
+        u, v = width[i - 1], width[i]
+        if u == v == 1:  # a plain crossing, which leaves start and width as they are
+            out.append(start[i - 1] if l > 0 else -start[i - 1])
+            continue
+        out.extend(_block_cross(start[i - 1], u, v, 1 if l > 0 else -1))
+        width[i - 1], width[i] = v, u
+        start[i] = start[i - 1] + v
+    return BraidWord(start[-1] + width[-1] - 1, tuple(out))
+
+
 def cable(b: BraidWord, strand: int, width: int = 2) -> BraidWord:
     """Replace the strand with the given start position by `width` parallel
     strands, 2 by default, rewriting each crossing as a block crossing."""
@@ -170,14 +193,7 @@ def cable(b: BraidWord, strand: int, width: int = 2) -> BraidWord:
         raise ValueError(f"cable width {width} is below 1")
     if not 1 <= strand <= b.n:
         raise ValueError(f"strand {strand} out of range")
-    p = strand  # current position of the cabled strand
-    out: list[int] = []
-    for l in b.letters:
-        i = abs(l)
-        u, v = (width if p == i else 1), (width if p == i + 1 else 1)
-        out.extend(_block_cross(i + width - 1 if p < i else i, u, v, 1 if l > 0 else -1))
-        p = i + 1 if p == i else i if p == i + 1 else p
-    return BraidWord(b.n + width - 1, tuple(out))
+    return _cable(b, {strand: width})
 
 
 def format_braid(b: BraidWord) -> str:

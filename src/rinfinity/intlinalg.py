@@ -41,7 +41,9 @@ class IntMatrix(_Value):
         cols = [tuple(c) for c in cols]
         if not cols:
             return IntMatrix(())
-        return IntMatrix(tuple(tuple(c[i] for c in cols) for i in range(len(cols[0]))))
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged columns")
+        return IntMatrix(tuple(zip(*cols)))
 
     @property
     def nrows(self) -> int:

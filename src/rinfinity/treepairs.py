@@ -127,26 +127,28 @@ def right_vine(n: int) -> Tree:
 CARET = caret(LEAF, LEAF)
 
 
-def _graft(t: Tree, leaf: int, subtree: Tree) -> Tree:
-    """Replace the given leaf (1-based) by `subtree`, copying only the path
-    to it.  The walk stops at that leaf, so it is linear even on vines."""
-    stack: list[tuple[Tree, tuple | None]] = [(t, None)]  # (node, (parent, went right, path))
-    seen = 0
-    while stack:
-        node, path = stack.pop()
-        children = node.children
-        if children is not None:
-            stack += ((children[1], (node, True, path)), (children[0], (node, False, path)))
-            continue
-        seen += 1
-        if seen == leaf:
-            out = subtree
-            while path is not None:
-                parent, went_right, path = path
-                left, right = parent.children
-                out = caret(left, out) if went_right else caret(out, right)
-            return out
-    raise ValueError(f"leaf index {leaf} out of range 1..{seen}")
+def _graft(t: Tree, sites: list[tuple[int, Tree]]) -> Tree:
+    """Replace each given leaf (1-based, increasing) by its subtree.  Sites
+    are grafted right to left, so the earlier indices stay valid; each
+    descends by `Tree.leaves` and copies only the path to its leaf."""
+    for leaf, subtree in reversed(sites):
+        if not 1 <= leaf <= t.leaves:
+            raise ValueError(f"leaf index {leaf} out of range 1..{t.leaves}")
+        path: list[tuple[Tree, bool]] = []
+        node = t
+        while node.children is not None:
+            left, right = node.children
+            went_right = leaf > left.leaves
+            if went_right:
+                leaf -= left.leaves
+            path.append((node, went_right))
+            node = right if went_right else left
+        out = subtree
+        for parent, went_right in reversed(path):
+            left, right = parent.children
+            out = caret(left, out) if went_right else caret(out, right)
+        t = out
+    return t
 
 
 def _collapse(t: Tree, leaves: set[int]) -> Tree:
@@ -193,24 +195,29 @@ def sibling_leaf_pairs(t: Tree) -> list[int]:
     return out
 
 
-def _growth(current: Tree, goal: Tree) -> list[tuple[int, Tree]]:
-    """Each (leaf of `current`, subtree of `goal` there) where `goal`
-    subdivides further, left to right.  Grafting them all turns `current`
-    into the common refinement of the two trees."""
-    out: list[tuple[int, Tree]] = []
-    stack = [(current, goal)]
-    offset = 0
+def _growth(a: Tree, b: Tree) -> tuple[list[tuple[int, Tree]], list[tuple[int, Tree]]]:
+    """The sites of `a` and of `b`, each a list of (leaf, subtree of the
+    other tree there) where the other tree subdivides further, left to
+    right, from one walk.  Grafting a tree's sites turns it into the
+    common refinement of the two."""
+    grow_a: list[tuple[int, Tree]] = []
+    grow_b: list[tuple[int, Tree]] = []
+    stack = [(a, b)]
+    offset_a = offset_b = 0
     while stack:
-        cur, gl = stack.pop()
-        if cur.children is None:
-            offset += 1
-            if gl.children is not None:
-                out.append((offset, gl))
-        elif gl.children is None:
-            offset += cur.leaves
+        x, y = stack.pop()
+        if x.children is None:
+            offset_a += 1
+            if y.children is not None:
+                grow_a.append((offset_a, y))
+            offset_b += y.leaves
+        elif y.children is None:
+            offset_b += 1
+            grow_b.append((offset_b, x))
+            offset_a += x.leaves
         else:
-            stack += ((cur.children[1], gl.children[1]), (cur.children[0], gl.children[0]))
-    return out
+            stack += ((x.children[1], y.children[1]), (x.children[0], y.children[0]))
+    return grow_a, grow_b
 
 
 def leaf_intervals(t: Tree) -> list[tuple[Fraction, Fraction]]:
@@ -320,20 +327,19 @@ def reduce(d: TreePair) -> TreePair:
 def expansion(d: TreePair, leaf: int, subtree: Tree = CARET) -> TreePair:
     """Replace the given leaf of both trees by `subtree`: the composite of
     the simple expansions, one per caret of `subtree`, that build it there."""
-    return TreePair(_graft(d.minus, leaf, subtree), _graft(d.plus, leaf, subtree))
+    site = [(leaf, subtree)]
+    return TreePair(_graft(d.minus, site), _graft(d.plus, site))
 
 
 def multiply(d1: TreePair, d2: TreePair) -> TreePair:
-    """Reduced product d1 * d2 via common expansion: graft onto each leaf of
-    plus(d1) the part of minus(d2) below it, and vice versa, so that both
-    become the common refinement; then glue and reduce.  Sites are grafted
-    right to left, so the leaf indices of the earlier ones stay valid."""
-    grow1, grow2 = _growth(d1.plus, d2.minus), _growth(d2.minus, d1.plus)
+    """Reduced product d1 * d2 via common expansion: the sites of plus(d1)
+    and minus(d2) make both the common refinement, and the product keeps
+    only the other two trees.  So d1 is expanded at its sites, and plus(d2)
+    is grafted at the sites of minus(d2) alone; then glue and reduce."""
+    grow1, grow2 = _growth(d1.plus, d2.minus)
     for leaf, subtree in reversed(grow1):
         d1 = expansion(d1, leaf, subtree)
-    for leaf, subtree in reversed(grow2):
-        d2 = expansion(d2, leaf, subtree)
-    return reduce(TreePair(d1.minus, d2.plus))
+    return reduce(TreePair(d1.minus, _graft(d2.plus, grow2)))
 
 
 def inverse(d: TreePair) -> TreePair:

@@ -61,9 +61,9 @@ def random_diagram(rng, max_leaves=6, braid_length=4):
 
 
 def ref_multiply(d1, d2):
-    while growth := tp._growth(d1.plus, d2.minus):
+    while growth := tp._growth(d1.plus, d2.minus)[0]:
         d1 = expansion(d1, d1.braid.permutation().index(growth[0][0]) + 1)
-    while growth := tp._growth(d2.minus, d1.plus):
+    while growth := tp._growth(d1.plus, d2.minus)[1]:
         d2 = expansion(d2, growth[0][0])
     return BraidedDiagram(d1.minus, d1.braid * d2.braid, d2.plus)
 

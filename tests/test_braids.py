@@ -5,7 +5,7 @@ import pytest
 from rinfinity import ParseError
 from rinfinity.braids import (
     BraidWord,
-    _find_handle,
+    _cable,
     braid_equal,
     cable,
     format_braid,
@@ -219,6 +219,33 @@ def test_cable_permutation_block_refinement():
             assert cperm[new_start - 1] == expected_end
 
 
+def test_all_strand_cable_matches_one_strand_at_a_time():
+    # Cabling the strands one at a time, last start position first, keeps
+    # the start positions of the strands still to cable.  The block of
+    # start position s lands in parallel on the block of end position
+    # perm(s), and each block begins after the widths of those before it.
+    rng = random.Random(69)
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        b = random_word(rng, n, rng.randint(0, 8)) if n > 1 else BraidWord(1)
+        widths = [rng.randint(1, 3) for _ in range(n)]
+        cabled = _cable(b, dict(enumerate(widths, start=1)))
+        one_at_a_time = b
+        for s in range(n, 0, -1):
+            one_at_a_time = cable(one_at_a_time, s, widths[s - 1])
+        assert cabled.n == one_at_a_time.n == sum(widths)
+        assert braid_equal(cabled, one_at_a_time)
+        perm, cperm = b.permutation(), cabled.permutation()
+        end_widths = [0] * n
+        for s in range(n):
+            end_widths[perm[s] - 1] = widths[s]
+        for s in range(n):
+            start = sum(widths[:s])
+            end = sum(end_widths[: perm[s] - 1])
+            for k in range(widths[s]):
+                assert cperm[start + k] == end + k + 1
+
+
 def delete_strand(b, strand):
     """Forget the strand with the given start position; crossings through
     it disappear and the other letters shift accordingly."""
@@ -287,6 +314,52 @@ def brute_force_handle(letters):
     return None
 
 
+# Handle reduction as first written: find the handle that ends leftmost,
+# rewrite it, free-reduce the whole word and scan again from its start.
+# Kept as the reference for the one-pass reduction.
+
+
+def free_reduce(letters):
+    out = []
+    for l in letters:
+        if out and out[-1] == -l:
+            out.pop()
+        else:
+            out.append(l)
+    return out
+
+
+def find_handle(letters):
+    """Leftmost-ending handle (p, q): letters[p] = -letters[q] = sigma_i^e
+    with no index i or i-1 strictly between."""
+    last_seen = {}
+    for q, l in enumerate(letters):
+        i = abs(l)
+        p = last_seen.get(i)
+        if p is not None and letters[p] == -l and last_seen.get(i - 1, -1) < p:
+            return p, q
+        last_seen[i] = q
+    return None
+
+
+def ref_handle_reduce(word):
+    letters = free_reduce(word.letters)
+    while (found := find_handle(letters)) is not None:
+        p, q = found
+        e = 1 if letters[p] > 0 else -1
+        i = abs(letters[p])
+        replacement = []
+        for l in letters[p + 1 : q]:
+            if abs(l) == i + 1:
+                d = 1 if l > 0 else -1
+                replacement += [-e * (i + 1), d * i, e * (i + 1)]
+            else:
+                replacement.append(l)
+        letters[p : q + 1] = replacement
+        letters = free_reduce(letters)
+    return BraidWord(word.n, tuple(letters))
+
+
 def test_find_handle_matches_brute_force():
     rng = random.Random(79)
     found = 0
@@ -294,6 +367,22 @@ def test_find_handle_matches_brute_force():
         n = rng.randint(2, 6)
         letters = list(random_word(rng, n, rng.randint(0, 14)).letters)
         expected = brute_force_handle(letters)
-        assert _find_handle(letters) == expected, letters
+        assert find_handle(letters) == expected, letters
         found += expected is not None
     assert found > 500
+
+
+def test_handle_reduce_matches_reference():
+    # Half the words are w u^-1 with u a prefix of w, so that many reduce
+    # through long chains of handles, some to the empty word.
+    rng = random.Random(83)
+    emptied = 0
+    for k in range(2400):
+        n = rng.randint(2, 6)
+        w = random_word(rng, n, rng.randint(0, 24 if k % 2 else 12))
+        if k % 2 == 0:
+            w = w * BraidWord(n, w.letters[: rng.randint(0, len(w.letters))]).inverse()
+        reduced = handle_reduce(w)
+        assert reduced == ref_handle_reduce(w), w
+        emptied += not reduced.letters
+    assert emptied > 100

@@ -217,6 +217,14 @@ def test_matrix_arithmetic_rejects_mismatched_shapes():
         a.apply((1, 2, 3))
 
 
+def test_from_columns_rejects_ragged_columns():
+    assert IntMatrix.from_columns([(1, 2), (3, 4)]) == IntMatrix.of([[1, 3], [2, 4]])
+    assert IntMatrix.from_columns([]) == IntMatrix(())
+    for cols in ([(1,), (3, 4)], [(1, 2), (3,)], [(), (1,)]):
+        with pytest.raises(ValueError, match="ragged columns"):
+            IntMatrix.from_columns(cols)
+
+
 def test_snf_diagonal_matches_sympy_invariant_factors():
     rng = random.Random(23)
     for trial in range(300):

@@ -329,6 +329,21 @@ def test_subtree_expansion_is_composite_of_simple_expansions():
         assert expansion(d, leaf, subtree) == e
 
 
+def test_multi_site_graft_matches_one_site_at_a_time():
+    rng = random.Random(45)
+    for _ in range(300):
+        t = random_tree(rng, rng.randint(1, 12))
+        leaves = sorted(rng.sample(range(1, t.leaves + 1), rng.randint(0, t.leaves)))
+        sites = [(leaf, random_tree(rng, rng.randint(1, 5))) for leaf in leaves]
+        # Left to right, each index shifted by the leaves grafted before it.
+        one_at_a_time, shift = t, 0
+        for leaf, subtree in sites:
+            one_at_a_time = tp._graft(one_at_a_time, [(leaf + shift, subtree)])
+            shift += subtree.leaves - 1
+        assert tp._graft(t, sites) == one_at_a_time
+        assert tp._graft(t, sites).leaves == t.leaves + shift
+
+
 def test_batched_reduce_matches_one_pair_at_a_time():
     rng = random.Random(43)
     for _ in range(300):
@@ -450,6 +465,22 @@ def test_deep_trees_format_parse_and_realize_without_recursion():
     assert parse_treepair(str(d)) == d
     assert len(leaf_intervals(d.plus)) == 5000
     assert from_pl(to_pl(d)) == d
+
+
+def test_multiply_of_deep_vine_pairs_by_generators():
+    # The caret-wise reference adds one caret per step, so it is quadratic:
+    # it checks 300-leaf products here (about 0.2 s each), while 3,000-leaf
+    # products, whose grafts copy paths 3,000 carets deep, are checked
+    # against composition of their PL maps.
+    for n in (300, 3000):
+        d = deep_pair(n)
+        for g in (X0, X1):
+            for a, b in ((d, g), (g, d)):
+                p = multiply(a, b)
+                if n == 300:
+                    assert p == ref_multiply(a, b)
+                else:
+                    assert p == from_pl(compose(to_pl(a), to_pl(b)))
 
 
 # The tree parser as first written, by recursion; kept as the reference
