@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import inf, prod
+from operator import index
 
 from . import _Value
 
@@ -30,7 +31,9 @@ class IntMatrix(_Value):
 
     @staticmethod
     def of(rows) -> IntMatrix:
-        return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
+        """The matrix of these rows; an entry that is not an integer (a
+        float, a Fraction) raises TypeError rather than being truncated."""
+        return IntMatrix(tuple(tuple(index(x) for x in r) for r in rows))
 
     @staticmethod
     def identity(n: int) -> IntMatrix:

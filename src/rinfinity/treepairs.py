@@ -6,6 +6,10 @@ Leaves are numbered 1..n left to right.  A pair (minus, plus) acts on
 affinely onto the i-th interval of the minus tree; with that orientation,
 diagram multiplication (glue plus of the left factor to minus of the
 right) matches composition of maps, left factor applied last.
+
+A leaf at depth d is the dyadic cell (d, i), the interval [i/2^d,
+(i+1)/2^d].  A tree's caret mask has bit i set when leaves i+1 and i+2
+form one caret, so a pair whose two masks share no bit is reduced.
 """
 
 from __future__ import annotations
@@ -20,17 +24,26 @@ from .plmaps import PLGroupSpec, PLMap, is_member
 
 class Tree(_Value):
     """An immutable leaf (children is None) or caret with two subtrees.
-    `leaves` is the leaf count, set from the children on construction."""
+    `leaves` (the leaf count) and `carets` (the caret mask) are set from
+    the children on construction."""
 
-    __slots__ = ("children", "leaves")
+    __slots__ = ("children", "leaves", "carets")
 
     def __init__(self, children: tuple[Tree, Tree] | None = None) -> None:
-        leaves = 1 if children is None else children[0].leaves + children[1].leaves
+        if children is None:
+            leaves, carets = 1, 0
+        else:
+            left, right = children
+            leaves = left.leaves + right.leaves
+            carets = 1 if leaves == 2 else left.carets | right.carets << left.leaves
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "carets", carets)
 
+    # Pickled and copied as its literal: format_tree and parse_tree do not
+    # recurse, so a tree of any depth round-trips.
     def __reduce__(self) -> tuple:
-        return Tree, (self.children,)
+        return parse_tree, (format_tree(self),)
 
     @property
     def is_leaf(self) -> bool:
@@ -151,50 +164,6 @@ def _graft(t: Tree, sites: list[tuple[int, Tree]]) -> Tree:
     return t
 
 
-def _collapse(t: Tree, leaves: set[int]) -> Tree:
-    """Replace each caret whose leaves are (i, i+1), i in `leaves`, by a
-    leaf, in one rebuild; untouched subtrees are shared."""
-    built: list[Tree] = []
-    stack: list[tuple[Tree, bool]] = [(t, False)]
-    offset = hits = 0
-    while stack:
-        node, children_done = stack.pop()
-        children = node.children
-        if children_done:
-            right, left = built.pop(), built.pop()
-            same = left is children[0] and right is children[1]
-            built.append(node if same else caret(left, right))
-        elif children is None:
-            offset += 1
-            built.append(node)
-        elif children[0].children is None and children[1].children is None and offset + 1 in leaves:
-            offset += 2
-            hits += 1
-            built.append(LEAF)
-        else:
-            stack += ((node, True), (children[1], False), (children[0], False))
-    if hits != len(leaves):
-        raise ValueError("no caret at that leaf position")
-    return built[0]
-
-
-def sibling_leaf_pairs(t: Tree) -> list[int]:
-    """Increasing leaf indices i such that leaves i, i+1 form one caret."""
-    out: list[int] = []
-    stack = [t]
-    offset = 0
-    while stack:
-        children = stack.pop().children
-        if children is None:
-            offset += 1
-        elif children[0].children is None and children[1].children is None:
-            out.append(offset + 1)
-            offset += 2
-        else:
-            stack += (children[1], children[0])
-    return out
-
-
 def _growth(a: Tree, b: Tree) -> tuple[list[tuple[int, Tree]], list[tuple[int, Tree]]]:
     """The sites of `a` and of `b`, each a list of (leaf, subtree of the
     other tree there) where the other tree subdivides further, left to
@@ -220,19 +189,23 @@ def _growth(a: Tree, b: Tree) -> tuple[list[tuple[int, Tree]], list[tuple[int, T
     return grow_a, grow_b
 
 
-def leaf_intervals(t: Tree) -> list[tuple[Fraction, Fraction]]:
-    """Standard dyadic intervals of the leaves, left to right."""
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(t, Fraction(0), Fraction(1))]
+def _cells(t: Tree) -> list[tuple[int, int]]:
+    """The dyadic cell (depth, index) of each leaf, left to right."""
+    out: list[tuple[int, int]] = []
+    stack = [(t, 0, 0)]
     while stack:
-        node, lo, hi = stack.pop()
+        node, d, i = stack.pop()
         children = node.children
         if children is None:
-            out.append((lo, hi))
+            out.append((d, i))
         else:
-            mid = (lo + hi) / 2
-            stack += ((children[1], mid, hi), (children[0], lo, mid))
+            stack += ((children[1], d + 1, 2 * i + 1), (children[0], d + 1, 2 * i))
     return out
+
+
+def leaf_intervals(t: Tree) -> list[tuple[Fraction, Fraction]]:
+    """Standard dyadic intervals of the leaves, left to right."""
+    return [(Fraction(i, 1 << d), Fraction(i + 1, 1 << d)) for d, i in _cells(t)]
 
 
 def format_tree(t: Tree) -> str:
@@ -315,13 +288,19 @@ X1 = TreePair(parse_tree("(.((..).))"), parse_tree("(.(.(..)))"))
 
 def reduce(d: TreePair) -> TreePair:
     """Remove caret pairs (leaves i, i+1 forming a caret in both trees)
-    until none remain.  Each pass collapses every common pair at once."""
-    minus, plus = d.minus, d.plus
-    while True:
-        common = set(sibling_leaf_pairs(minus)) & set(sibling_leaf_pairs(plus))
-        if not common:
-            return d if minus is d.minus else TreePair(minus, plus)
-        minus, plus = _collapse(minus, common), _collapse(plus, common)
+    until none remain.  If the caret masks share no bit, d is reduced.
+    Otherwise one pass pushes each leaf's two cells on a stack, first
+    merging them with the top into their parents while the top holds their
+    left siblings in both trees; the stack's depths build the result."""
+    if not d.minus.carets & d.plus.carets:
+        return d
+    stack: list[tuple[int, int, int, int]] = []
+    for (dm, im), (dp, ip) in zip(_cells(d.minus), _cells(d.plus)):
+        while im & ip & 1 and stack and stack[-1] == (dm, im - 1, dp, ip - 1):
+            stack.pop()
+            dm, im, dp, ip = dm - 1, im >> 1, dp - 1, ip >> 1
+        stack.append((dm, im, dp, ip))
+    return TreePair(_tree_from_depths([c[0] for c in stack]), _tree_from_depths([c[2] for c in stack]))
 
 
 def expansion(d: TreePair, leaf: int, subtree: Tree = CARET) -> TreePair:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -248,3 +250,10 @@ def test_refused_diagram_literal_is_a_parse_error():
     with pytest.raises(ParseError, match="must agree") as info:
         parse_diagram(text)
     assert (info.value.pos, info.value.text) == (0, text)
+
+
+def test_deep_diagrams_pickle_and_copy():
+    v = tp.right_vine(5000)
+    d = BraidedDiagram(v, BraidWord(5000, (1, -4999, 2)), v)
+    for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert clone == d and clone.minus.carets == v.carets

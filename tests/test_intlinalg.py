@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import inf
 
 import pytest
@@ -223,6 +224,13 @@ def test_from_columns_rejects_ragged_columns():
     for cols in ([(1,), (3, 4)], [(1, 2), (3,)], [(), (1,)]):
         with pytest.raises(ValueError, match="ragged columns"):
             IntMatrix.from_columns(cols)
+
+
+def test_of_refuses_entries_that_are_not_integers():
+    assert IntMatrix.of([[True, 2], [sympy.Integer(3), -4]]).rows == ((1, 2), (3, -4))
+    for bad in (0.5, 2.0, Fraction(3, 2), Fraction(2), "1"):
+        with pytest.raises(TypeError):
+            IntMatrix.of([[bad, 1], [2, 3]])
 
 
 def test_snf_diagonal_matches_sympy_invariant_factors():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
@@ -310,11 +311,36 @@ def test_multiply_matches_caretwise_product():
         assert multiply(d1, d2) == ref_multiply(d1, d2)
 
 
-def test_multiply_matches_caretwise_product_on_words():
+def seeded_words():
     rng = random.Random(37)
-    for _ in range(20):
-        word = [rng.choice(LETTERS) for _ in range(60)]
+    return [[rng.choice(LETTERS) for _ in range(60)] for _ in range(20)]
+
+
+def test_multiply_matches_caretwise_product_on_words():
+    for word in seeded_words():
         assert fold(word) == fold(word, ref_multiply)
+
+
+def test_reduce_walks_cells_only_past_its_screen(monkeypatch):
+    # A work count that repeats exactly: of the 1,200 products of the seeded
+    # words, 157 glue trees that share a caret, and only those reduce calls
+    # walk the leaf cells (two walks each).  A lost screen walks on all.
+    calls = {"reduce": 0, "cells": 0}
+    reduce_, cells = tp.reduce, tp._cells
+
+    def counted_reduce(d):
+        calls["reduce"] += 1
+        return reduce_(d)
+
+    def counted_cells(t):
+        calls["cells"] += 1
+        return cells(t)
+
+    monkeypatch.setattr(tp, "reduce", counted_reduce)
+    monkeypatch.setattr(tp, "_cells", counted_cells)
+    for word in seeded_words():
+        fold(word)
+    assert calls == {"reduce": 1200, "cells": 2 * 157}
 
 
 def test_subtree_expansion_is_composite_of_simple_expansions():
@@ -354,15 +380,24 @@ def test_batched_reduce_matches_one_pair_at_a_time():
         assert reduce(e) == ref_reduce(e, order=lambda c: c[-1]) == ref_reduce(e) == d
 
 
+def ref_caret_mask(t):
+    return sum(1 << (i - 1) for i in ref_sibling_pairs(t))
+
+
+def test_caret_mask_matches_sibling_pairs():
+    rng = random.Random(44)
+    for _ in range(300):
+        t = random_tree(rng, rng.randint(1, 40))
+        assert t.carets == ref_caret_mask(t)
+        assert pickle.loads(pickle.dumps(t)).carets == t.carets
+    assert LEAF.carets == 0 and tp.CARET.carets == 1
+
+
 def test_caret_helpers_reject_bad_positions():
     t = parse_tree("((..).)")
     for leaf in (0, 4):
         with pytest.raises(ValueError):
             expansion(TreePair(t, t), leaf)
-    for leaf in (2, 3):
-        with pytest.raises(ValueError):
-            tp._collapse(t, {leaf})
-    assert tp._collapse(t, {1}) == parse_tree("(..)")
 
 
 def test_power_by_squaring_matches_fold():
@@ -407,7 +442,7 @@ def test_deep_trees_have_repr_and_str():
 
 def test_tree_nodes_are_immutable():
     t = X0.minus
-    for name in ("children", "leaves"):
+    for name in ("children", "leaves", "carets"):
         with pytest.raises(AttributeError):
             setattr(t, name, None)
         with pytest.raises(AttributeError):
@@ -465,6 +500,28 @@ def test_deep_trees_format_parse_and_realize_without_recursion():
     assert parse_treepair(str(d)) == d
     assert len(leaf_intervals(d.plus)) == 5000
     assert from_pl(to_pl(d)) == d
+
+
+def test_deep_masks_screen_and_linear_reduce():
+    # ref_sibling_pairs recurses, so deep masks are checked by their shape:
+    # a right vine's one two-leaf caret holds its last two leaves.
+    for n in (2, 3, 700, 5000):
+        assert tp.right_vine(n).carets == 1 << (n - 2)
+    d = deep_pair(5000)
+    assert d.minus.carets & d.plus.carets == 0 and reduce(d) is d
+    # Equal vines share one caret at a time, which a pass per caret pair
+    # would collapse in quadratic time.
+    v = tp.right_vine(5000)
+    start = time.perf_counter()
+    assert reduce(TreePair(v, v)) == IDENTITY
+    assert time.perf_counter() - start < 1.0
+
+
+def test_deep_trees_pickle_and_copy():
+    v = tp.right_vine(5000)
+    for value in (v, TreePair(v, v), power(X0, 1000), deep_pair(5000)):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value) and clone == value
 
 
 def test_multiply_of_deep_vine_pairs_by_generators():

@@ -54,7 +54,7 @@ SAMPLES = [
         ("ok", "reason", "fixed_vector", "summed_character"),
     ),
     (X0, ("minus", "plus")),
-    (X0.minus, ("children", "leaves")),
+    (X0.minus, ("children", "leaves", "carets")),
 ]
 
 # These two show their values in their own notation.
