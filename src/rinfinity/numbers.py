@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 
 from . import ParseError, _Value, _construct, _parse_part, _parts
 
@@ -200,6 +201,7 @@ class ExactNumber(_Value):
         return ExactNumber.of(other) / self
 
     def __pow__(self, k: int) -> ExactNumber:
+        k = index(k)  # a float or Fraction exponent raises TypeError
         if k < 0:
             return self.inverse() ** (-k)
         result = ONE

@@ -6,8 +6,12 @@ A map is stored as (ell, breakpoints, slopes) anchored at f(0) = 0, which
 makes continuity automatic; f(ell) = ell is a constructor check.  The
 canonical form has no breakpoint where the slope does not change, so maps
 are equal iff their fields are.  The knots (x, f(x)) at 0, each breakpoint
-and ell are computed once per map; composition, inversion, support and
-membership walk them from left to right and evaluate nothing.
+and ell are computed once per map; inversion, support and membership walk
+them from left to right and evaluate nothing.  `compose(f, g)` walks the
+segments of g: the knots of f over one segment pull back through its
+inverse affine map, computed once, and an identity segment copies them.
+Inside a segment the slope of the result changes at every knot, so only
+its first piece can need merging with the piece before it.
 
 Only maps built from outside are validated: `PLMap(...)`, `PLMap.make`
 and `parse_plmap` check every field.  `compose` and `inverse` produce a
@@ -43,6 +47,12 @@ class PLMap(_Value):
         breakpoints: tuple[ExactNumber, ...],
         slopes: tuple[ExactNumber, ...],
     ) -> None:
+        if not (
+            isinstance(ell, ExactNumber)
+            and type(breakpoints) is type(slopes) is tuple
+            and all(isinstance(x, ExactNumber) for x in breakpoints + slopes)
+        ):
+            raise TypeError("PLMap takes an ExactNumber and tuples of them; use PLMap.make")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "slopes", slopes)
@@ -150,40 +160,58 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     """The map x -> f(g(x)) and its knots, in one walk over the segments
     of g and the knots of f.
 
-    On the segment from (x0, y0) to (x1, y1) with slope s, every breakpoint
-    b of f with y0 < b < y1 pulls back to the knot (x0 + (b - y0)/s, f(b)),
-    and the slope there is s times the slope of f just below b.  The image
-    of x1 is f's knot value when y1 is a knot of f, and is read off the
-    last knot of f below y1 otherwise.  f's knot at ell closes the walk, so
-    it never runs off it.  A knot where the slope does not change is
-    overwritten by the next, so the result is canonical as built.
+    On the segment from (x0, y0) to (x1, y1) with slope s, the knots
+    (b, f(b)) of f with y0 < b < y1 pull back to (b/s + c, f(b)) for
+    c = x0 - y0/s, and the slope past each is s times the slope of f
+    there.  So 1/s and c are computed once per segment; a translation
+    (s = 1) only adds c, and an identity segment (s = 1, x0 = y0) copies
+    f's knots and slopes as they are.  The image of x1 is f's knot value
+    when y1 is a knot of f, and is read off the last knot of f below y1
+    otherwise.  f's knot at ell closes the walk, so it never runs off it.
+
+    Only the first piece of a segment can continue the slope of the piece
+    before it: inside the segment, consecutive slopes are s times
+    consecutive slopes of the canonical f, so they differ.  When the
+    first slope does continue, the knot at x0 is dropped, and the result
+    is canonical as built.
     """
     if f.ell != g.ell:
         raise ValueError("maps act on different intervals")
-    f_knots = f._knots
+    f_knots, f_slopes = f._knots, f.slopes
     knots = [f_knots[0]]
     slopes: list[ExactNumber] = []
-
-    def extend(knot, slope):
-        if slopes and slope == slopes[-1]:
-            knots[-1] = knot
-        else:
-            knots.append(knot)
-            slopes.append(slope)
-
     j = 0  # f's segment from f_knots[j] to f_knots[j + 1] contains y0
     for (x0, y0), (x1, y1), s in zip(g._knots, g._knots[1:], g.slopes):
-        b, fb = f_knots[j + 1]
-        while b < y1:
-            extend((x0 + (b - y0) / s, fb), s * f.slopes[j])
-            j += 1
-            b, fb = f_knots[j + 1]
-        if b == y1:
-            extend((x1, fb), s * f.slopes[j])
-            j += 1
+        k = j + 1  # f_knots[j + 1 : k] are the knots of f inside (y0, y1)
+        while f_knots[k][0] < y1:
+            k += 1
+        unit = s == ONE
+        first = f_slopes[j] if unit else s * f_slopes[j]
+        if slopes and first == slopes[-1]:
+            knots.pop()
         else:
+            slopes.append(first)
+        if k > j + 1:
+            if unit and x0 == y0:
+                knots += f_knots[j + 1 : k]
+                slopes += f_slopes[j + 1 : k]
+            elif unit:
+                c = x0 - y0
+                knots += [(b + c, fb) for b, fb in f_knots[j + 1 : k]]
+                slopes += f_slopes[j + 1 : k]
+            else:
+                r = s.inverse()
+                c = x0 - y0 * r
+                knots += [(b * r + c, fb) for b, fb in f_knots[j + 1 : k]]
+                slopes += [s * t for t in f_slopes[j + 1 : k]]
+        b, fb = f_knots[k]
+        if b == y1:
+            knots.append((x1, fb))
+            j = k
+        else:
+            j = k - 1
             fx, fy = f_knots[j]
-            extend((x1, fy + f.slopes[j] * (y1 - fx)), s * f.slopes[j])
+            knots.append((x1, fy + f_slopes[j] * (y1 - fx)))
     return _from_knots(f.ell, knots, slopes)
 
 

@@ -98,6 +98,16 @@ def test_powers():
     assert (TAU**-1) * TAU == ONE
 
 
+def test_power_takes_only_integer_exponents():
+    # Through operator.index: an int-like exponent works, while a float or a
+    # Fraction raises TypeError even where its value is an integer.
+    assert TAU ** True == TAU
+    assert TAU**0 == ONE
+    for k in (0.0, 2.0, Fraction(0), Fraction(2), Fraction(1, 2)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            TAU**k
+
+
 def test_additive_group_membership():
     z6 = AdditiveGroup.z_inv(6)
     assert z6.contains(ExactNumber.rational(1, 6))

@@ -24,6 +24,8 @@ from rinfinity.plmaps import (
     scaling_family,
     support,
 )
+from rinfinity.treepairs import X0, X1, multiply, to_pl
+from rinfinity.treepairs import inverse as tree_inverse
 
 R = ExactNumber.rational
 
@@ -291,6 +293,22 @@ def test_make_rejects_a_slope_count_that_does_not_fit():
             PLMap.make(ONE, breaks, slopes)
 
 
+def test_constructor_refuses_fields_of_the_wrong_type():
+    # The public constructor takes an ExactNumber and two tuples of them;
+    # anything else is a TypeError that points to PLMap.make.
+    cases = (
+        (1, (), (ONE,)),
+        (ONE, [], [ONE]),
+        (ONE, (), (1,)),
+        (ONE, (Fraction(1, 2),), (R(1, 2), R(3, 2))),
+        (ONE, (R(1, 2),), [R(1, 2), R(3, 2)]),
+    )
+    for ell, breaks, slopes in cases:
+        with pytest.raises(TypeError, match="PLMap.make"):
+            PLMap(ell, breaks, slopes)
+        assert PLMap.make(ell, breaks, slopes) == PLMap.make(ONE, breaks, slopes)
+
+
 def test_slope_at_rejects_points_outside_the_interval():
     f = f2()
     for x in (R(-5), R(-1, 8), R(9, 8), R(7)):
@@ -346,15 +364,25 @@ FAMILIES = {
     "golden": scaling_family(PHI, PHI**2, PHI**3),
     "dyadic": scaling_family(2, 2, 2),
     "2-3": scaling_family(3, 2, Fraction(3, 2)),
+    # x0, x2 = x0^-1 x1 x0 and x1 of Thompson's F: unlike the scaling
+    # families, their segments of slope 1 include translations.  Every
+    # breakpoint of x0 is one of x1, so x2 comes second, for the merges of
+    # test_compose_prunes_as_it_walks.
+    "F": tuple(to_pl(d) for d in (X0, multiply(multiply(tree_inverse(X0), X1), X0), X1)),
 }
 
 
-def random_word(rng, family, max_letters):
+def alphabet(family: str) -> list[PLMap]:
+    """The family's generators and their inverses."""
+    return [m for gen in FAMILIES[family] for m in (gen, gen.inverse())]
+
+
+def random_word(rng, family, max_letters, min_letters=1):
     """A random word in the family's generators and their inverses, multiplied
     out by the reference composition."""
-    letters = [m for gen in FAMILIES[family] for m in (gen, gen.inverse())]
+    letters = alphabet(family)
     out = PLMap.identity(1)
-    for _ in range(rng.randint(1, max_letters)):
+    for _ in range(rng.randint(min_letters, max_letters)):
         out = ref_compose(out, rng.choice(letters))
     return out
 
@@ -371,6 +399,49 @@ def test_compose_matches_reference(family):
             assert_canonical(c)
             assert c == ref_compose(f, g)
         assert compose(u, u.inverse()).is_identity
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_compose_long_by_short_matches_reference(family):
+    # The accumulated map of a long word has many knots over each segment
+    # of a letter, and the reverse order puts many segments of g over one
+    # segment of f.
+    rng = random.Random(71)
+    for _ in range(3):
+        long = random_word(rng, family, 30, 12)
+        for short in alphabet(family) + [random_word(rng, family, 3)]:
+            for f, g in ((long, short), (short, long)):
+                c = compose(f, g)
+                assert_canonical(c)
+                assert c == ref_compose(f, g)
+
+
+def unit_segment_ends(g: PLMap) -> dict[str, set[ExactNumber]]:
+    """The ends y0, y1 of g's segments of slope 1, split into identity
+    segments (x0 = y0) and translations."""
+    ends = {"identity": set(), "translation": set()}
+    for (x0, y0), (_, y1), s in zip(g._knots, g._knots[1:], g.slopes):
+        if s == ONE:
+            ends["identity" if x0 == y0 else "translation"] |= {y0, y1}
+    return ends
+
+
+def test_compose_where_f_breaks_at_the_end_of_a_unit_segment():
+    # to_pl(x0) is a translation on [1/2, 3/4] onto [1/4, 1/2], and to_pl(x1)
+    # the identity on [0, 1/2]; 1/2 is a breakpoint of both, so some
+    # products of F's generators put a breakpoint of f exactly on y0 or y1
+    # of an identity or a translation segment of g.
+    letters = alphabet("F")
+    products = letters + [compose(a, b) for a in letters[:2] for b in letters]
+    hits = {"identity": 0, "translation": 0}
+    for f in products:
+        for g in products:
+            for kind, ends in unit_segment_ends(g).items():
+                hits[kind] += len(ends & set(f.breakpoints))
+            c = compose(f, g)
+            assert_canonical(c)
+            assert c == ref_compose(f, g)
+    assert hits["identity"] and hits["translation"]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -435,6 +506,64 @@ def test_support_crossings_and_fixed_spans():
     assert support(split) == ref_support(split)
 
 
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+ARITHMETIC += ("__truediv__", "__rtruediv__", "inverse")
+
+
+def count_arithmetic(monkeypatch) -> list[str]:
+    """Patch a counter onto each + - * / operator of ExactNumber, and
+    return the list that records the name of every call."""
+    calls: list[str] = []
+    for name in ARITHMETIC:
+
+        def counted(*args, _method=getattr(ExactNumber, name), _name=name):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(ExactNumber, name, counted)
+    return calls
+
+
+def seeded_word(seed: int, family: str, length: int) -> list[PLMap]:
+    rng, letters = random.Random(seed), alphabet(family)
+    return [rng.choice(letters) for _ in range(length)]
+
+
+def fold(word: list[PLMap]) -> PLMap:
+    out = word[0]
+    for letter in word[1:]:
+        out = compose(out, letter)
+    return out
+
+
+def test_compose_by_the_identity_does_no_arithmetic(monkeypatch):
+    # An identity segment of g copies the knots and slopes of f: composing
+    # a 30-letter golden word with the identity costs no + - * / at all,
+    # where a pullback per knot would cost four.
+    f, identity = fold(seeded_word(73, "golden", 30)), PLMap.identity(1)
+    assert len(f.breakpoints) > 20
+    calls = count_arithmetic(monkeypatch)
+    c = compose(f, identity)
+    assert calls == []
+    assert c == f and c._knots == f._knots
+
+
+def test_compose_work_per_segment_is_pinned(monkeypatch):
+    # A work count that repeats exactly: folding these seeded 30-letter
+    # words costs this many + - * / calls.  Each segment of a letter
+    # computes its inverse affine map once, a translation only adds, and an
+    # identity segment copies; losing one of these shortcuts raises a count
+    # (pulling each knot back on its own makes 1581 and 1026).
+    words = {family: seeded_word(79, family, 30) for family in ("golden", "F")}
+    calls = count_arithmetic(monkeypatch)
+    counts = {}
+    for family, word in words.items():
+        del calls[:]
+        fold(word)
+        counts[family] = len(calls)
+    assert counts == {"golden": 979, "F": 485}
+
+
 def test_golden_compose_reaches_the_sqrt5_sign(monkeypatch):
     # Positive control for the test below: every irrational sign goes
     # through numbers._sqrt5_combination_sign, so a counter patched onto it
@@ -461,8 +590,6 @@ def test_rational_pipeline_never_reaches_the_sqrt5_sign(monkeypatch):
     # with the sign test for irrational values disabled, the PL operations
     # on F and on a (3, 2, 3/2) scaling family still run.
     from rinfinity import numbers
-    from rinfinity.treepairs import X0, X1, to_pl
-    from rinfinity.treepairs import inverse as tree_inverse
 
     def refuse(u, v):
         raise AssertionError("a rational operand reached the sqrt5 sign test")
