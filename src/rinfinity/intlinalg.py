@@ -2,21 +2,21 @@
 systems, lattice quotients, and finitely generated abelian groups with
 automorphisms.
 
-Every lattice question reads one Smith decomposition U*M*V = S:
-solutions, kernels, inverses, invariant factors, membership and
-canonical forms.  An abelian group Z^n/R computes the decomposition of
-its relators once and keeps it, and an automorphism AbelianAuto with
-matrix M keeps one decomposition of [M - I | R], from which both its
-Reidemeister number R(phi) and its fixed subgroup Fix(phi) are read.
-
-Everything uses Python big integers; matrices are immutable row tuples.
+Every lattice question reads one Smith reduction of plain row lists,
+which records U and V (U*M*V = S) only where a caller reads them.  A
+group Z^n/R decomposes its relators once.  An automorphism with matrix M
+makes two full decompositions, of [M - I | R] (read by both R(phi) and
+Fix(phi)) and of the fixed lattice, and two reductions to invariant
+factors only, of [M | R] (surjectivity) and of the relator coordinates
+in the fixed lattice (the structure of Fix(phi)).  Matrices are immutable
+row tuples of Python integers.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import inf, prod
-from operator import index
+from operator import index, mul, sub
 
 from . import _Value
 
@@ -25,25 +25,28 @@ class IntMatrix(_Value):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "rows", rows)
-        if self.rows and any(len(r) != len(self.rows[0]) for r in self.rows):
+        if type(rows) is not tuple or set(map(type, rows)) - {tuple}:
+            raise TypeError("IntMatrix takes a tuple of int tuples; IntMatrix.of converts other rows")
+        if {type(x) for r in rows for x in r} - {int}:
+            raise TypeError("IntMatrix takes a tuple of int tuples; IntMatrix.of converts other rows")
+        if len(set(map(len, rows))) > 1:
             raise ValueError("ragged matrix")
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def of(rows) -> IntMatrix:
-        """The matrix of these rows; an entry that is not an integer (a
-        float, a Fraction) raises TypeError rather than being truncated."""
-        return IntMatrix(tuple(tuple(index(x) for x in r) for r in rows))
+        """The matrix of these rows, each entry made an int; an entry that is
+        not an integer (a float, a Fraction) raises TypeError rather than
+        being truncated."""
+        return IntMatrix(tuple([tuple([int(index(x)) for x in r]) for r in rows]))
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return _matrix(tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)]))
 
     @staticmethod
     def from_columns(cols) -> IntMatrix:
         cols = [tuple(c) for c in cols]
-        if not cols:
-            return IntMatrix(())
         if any(len(c) != len(cols[0]) for c in cols):
             raise ValueError("ragged columns")
         return IntMatrix(tuple(zip(*cols)))
@@ -57,37 +60,40 @@ class IntMatrix(_Value):
         return len(self.rows[0]) if self.rows else 0
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
+        return tuple([r[j] for r in self.rows])
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.rows))
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(tuple(zip(*self.rows))) if self.rows else self
+        return _matrix(tuple(zip(*self.rows))) if self.rows else self
 
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        ot = other.transpose().rows
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.rows)
-        )
+        ot = other.columns()
+        return _matrix(tuple([tuple([sum(map(mul, row, col)) for col in ot]) for row in self.rows]))
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("dimension mismatch")
-        return IntMatrix(
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
+        return _matrix(tuple([tuple(map(sub, r1, r2)) for r1, r2 in zip(self.rows, other.rows)]))
 
     def apply(self, vector) -> tuple[int, ...]:
         v = tuple(vector)
         if self.ncols != len(v):
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        return tuple([sum(map(mul, row, v)) for row in self.rows])
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "]"
+
+
+def _matrix(rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """The matrix of int rows of one length, built without the checks."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)
+    return m
 
 
 class SmithDecomposition(_Value):
@@ -102,16 +108,15 @@ class SmithDecomposition(_Value):
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.s.rows[i][i] for i in range(min(self.s.nrows, self.s.ncols)))
+        return tuple([self.s.rows[i][i] for i in range(min(self.s.nrows, self.s.ncols))])
 
     @cached_property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
     def kernel(self) -> list[tuple[int, ...]]:
-        """Basis of the integer kernel {x : M x = 0}: the columns of V
-        beyond the rank."""
-        return [self.v.column(j) for j in range(self.rank, self.v.nrows)]
+        """Basis of the integer kernel {x : M x = 0}: the columns of V beyond the rank."""
+        return self.v.columns()[self.rank :]
 
     def solve(self, b) -> tuple[int, ...] | None:
         """One integer solution x of M x = b, or None if none exists."""
@@ -128,37 +133,31 @@ class SmithDecomposition(_Value):
         return self.v.apply(y)
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize an integer matrix by unimodular row/column operations."""
-    n, c = m.nrows, m.ncols
-    s = [[int(x) for x in r] for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+def _smith(a: list[list[int]], n: int, c: int) -> None:
+    """Diagonalize in place the n x c block at the top left of the row lists
+    a.  Row operations act on the whole of rows i < n and column operations
+    on columns j < c of every row, so identity rows to the right of the
+    block record U, identity rows below it record V, and none record none."""
     t = 0
     while t < min(n, c):
         # Re-pick the smallest nonzero entry of the trailing block as pivot
         # (the first one in row-major order) on every pass; this keeps
         # coefficient growth under control.
-        pi = pj = -1
-        best = 0
+        pi, pj, best = -1, -1, 0
         for i in range(t, n):
-            row = s[i]
+            row = a[i]
             for j in range(t, c):
-                a = abs(row[j])
-                if a and (pi < 0 or a < best):
-                    pi, pj, best = i, j, a
+                x = abs(row[j])
+                if x and (pi < 0 or x < best):
+                    pi, pj, best = i, j, x
         if pi < 0:
             break
-        s[t], s[pi] = s[pi], s[t]
-        u[t], u[pi] = u[pi], u[t]
-        for row in s:
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
             row[t], row[pj] = row[pj], row[t]
-        for row in v:
-            row[t], row[pj] = row[pj], row[t]
-        st, ut = s[t], u[t]
+        st = a[t]
         if st[t] < 0:
-            s[t] = st = [-a for a in st]
-            u[t] = ut = [-a for a in ut]
+            a[t] = st = [-x for x in st]
         p = st[t]
         half = p >> 1
         # One nearest-integer reduction pass over column t and row t; any
@@ -166,20 +165,17 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         # the pivot re-pick makes progress.
         residue = False
         for i in range(t + 1, n):
-            if s[i][t] != 0:
-                q = (s[i][t] + half) // p
+            if a[i][t] != 0:
+                q = (a[i][t] + half) // p
                 if q:
-                    s[i] = [a - q * b for a, b in zip(s[i], st)]
-                    u[i] = [a - q * b for a, b in zip(u[i], ut)]
-                if s[i][t] != 0:
+                    a[i] = [x - q * y for x, y in zip(a[i], st)]
+                if a[i][t] != 0:
                     residue = True
         for j in range(t + 1, c):
             if st[j] != 0:
                 q = (st[j] + half) // p
                 if q:
-                    for row in s:
-                        row[j] -= q * row[t]
-                    for row in v:
+                    for row in a:
                         row[j] -= q * row[t]
                 if st[j] != 0:
                     residue = True
@@ -188,13 +184,29 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         # Row and column t are clear; enforce divisibility of the rest by
         # adding the first row that breaks it to row t.
         for i in range(t + 1, n):
-            if any(s[i][j] % p != 0 for j in range(t + 1, c)):
-                s[t] = [a + b for a, b in zip(st, s[i])]
-                u[t] = [a + b for a, b in zip(ut, u[i])]
+            if any(a[i][j] % p != 0 for j in range(t + 1, c)):
+                a[t] = [x + y for x, y in zip(st, a[i])]
                 break
         else:
             t += 1
-    return SmithDecomposition(*(IntMatrix(tuple(map(tuple, a))) for a in (u, s, v)))
+
+
+def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Diagonalize an integer matrix by unimodular row/column operations."""
+    n, c = m.nrows, m.ncols
+    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.rows)]
+    a += [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    _smith(a, n, c)
+    u, s, v = [r[c:] for r in a[:n]], [r[:c] for r in a[:n]], a[n:]
+    return SmithDecomposition(*[_matrix(tuple(map(tuple, x))) for x in (u, s, v)])
+
+
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    """The diagonal of the Smith normal form of m, without building U and
+    V: `smith_normal_form(m).diagonal`."""
+    a = [list(r) for r in m.rows]
+    _smith(a, m.nrows, m.ncols)
+    return tuple([a[i][i] for i in range(min(m.nrows, m.ncols))])
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -226,12 +238,7 @@ class GroupStructure(_Value):
 
     @property
     def order(self) -> int | float:
-        if self.free_rank > 0:
-            return inf
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return inf if self.free_rank > 0 else prod(self.torsion)
 
     @property
     def is_trivial(self) -> bool:
@@ -244,30 +251,30 @@ class GroupStructure(_Value):
         return " + ".join(parts) if parts else "0"
 
 
-def lattice_quotient(gens: list[tuple[int, ...]], rels: list[tuple[int, ...]], n: int) -> GroupStructure:
-    """Structure of span(gens)/span(rels) inside Z^n.
+def _structure(n: int, diagonal: tuple[int, ...]) -> GroupStructure:
+    """Z^n modulo a relator matrix with these invariant factors."""
+    return GroupStructure(tuple([d for d in diagonal if d > 1]), n - sum(1 for d in diagonal if d))
 
-    Requires span(rels) <= span(gens); generator lists may be redundant.
-    """
+
+def lattice_quotient(gens: list[tuple[int, ...]], rels: list[tuple[int, ...]], n: int) -> GroupStructure:
+    """Structure of span(gens)/span(rels) inside Z^n.  Requires
+    span(rels) <= span(gens); generator lists may be redundant."""
     if not gens:
         if any(any(x != 0 for x in r) for r in rels):
             raise ValueError("relations not contained in the generated lattice")
         return GroupStructure((), 0)
-    a = IntMatrix.from_columns(gens)
-    snf = smith_normal_form(a)
-    r = snf.rank
-    d = snf.diagonal
+    snf = smith_normal_form(IntMatrix.from_columns(gens))
+    r, d = snf.rank, snf.diagonal
     # Lattice basis is U^-1 * diag(d) restricted to the first r columns;
     # a relator b has basis coordinates ((U b)_i / d_i)_{i<r}.
     coords = []
     for b in rels:
         c = snf.u.apply(b)
-        if any(c[i] != 0 for i in range(r, n)):
+        if any(c[i] != 0 for i in range(r, n)) or any(c[i] % d[i] != 0 for i in range(r)):
             raise ValueError("relation lies outside the generated lattice")
-        if any(c[i] % d[i] != 0 for i in range(r)):
-            raise ValueError("relation lies outside the generated lattice")
-        coords.append(tuple(c[i] // d[i] for i in range(r)))
-    return FGAbelianGroup.from_relator_columns(r, coords).structure()
+        coords.append(tuple([c[i] // d[i] for i in range(r)]))
+    # Z^r modulo the coordinate columns, read off their invariant factors.
+    return _structure(r, invariant_factors(_matrix(tuple(zip(*coords)) if coords else ((),) * r)))
 
 
 class FGAbelianGroup(_Value):
@@ -283,14 +290,12 @@ class FGAbelianGroup(_Value):
 
     @staticmethod
     def free(n: int) -> FGAbelianGroup:
-        return FGAbelianGroup(n, IntMatrix(tuple(() for _ in range(n))))
+        return FGAbelianGroup(n, _matrix(((),) * n))
 
     @staticmethod
     def from_relator_columns(n: int, cols) -> FGAbelianGroup:
         cols = list(cols)
-        if not cols:
-            return FGAbelianGroup.free(n)
-        return FGAbelianGroup(n, IntMatrix.from_columns(cols))
+        return FGAbelianGroup(n, IntMatrix.from_columns(cols)) if cols else FGAbelianGroup.free(n)
 
     @cached_property
     def decomposition(self) -> SmithDecomposition:
@@ -298,8 +303,7 @@ class FGAbelianGroup(_Value):
         return smith_normal_form(self.relators)
 
     def structure(self) -> GroupStructure:
-        snf = self.decomposition
-        return GroupStructure(tuple(d for d in snf.diagonal if d > 1), self.n - snf.rank)
+        return _structure(self.n, self.decomposition.diagonal)
 
     def contains_in_relator_span(self, vec: tuple[int, ...]) -> bool:
         return self.decomposition.solve(vec) is not None
@@ -314,8 +318,7 @@ class AbelianAuto(_Value):
     def __init__(self, group: FGAbelianGroup, matrix: IntMatrix) -> None:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "matrix", matrix)
-        n = self.group.n
-        if self.matrix.nrows != n or self.matrix.ncols != n:
+        if not self.matrix.nrows == self.matrix.ncols == self.group.n:
             raise ValueError("matrix must be n x n")
         for col in self.group.relators.columns():
             if not self.group.contains_in_relator_span(self.matrix.apply(col)):
@@ -324,19 +327,19 @@ class AbelianAuto(_Value):
             raise ValueError("matrix is not invertible on the quotient")
 
     def _is_surjective(self) -> bool:
-        # Surjective iff im(M) + span(relators) = Z^n, that is iff [M | R]
-        # has rank n and unit invariant factors; f.g. abelian groups are
-        # Hopfian, so surjective implies bijective.
-        cols = self.matrix.columns() + self.group.relators.columns()
-        snf = smith_normal_form(IntMatrix.from_columns(cols))
-        return snf.rank == self.group.n and all(d == 1 for d in snf.diagonal)
+        # Surjective iff im(M) + span(relators) = Z^n, that is iff the n
+        # invariant factors of [M | R] (n x (n + k)) are units; f.g. abelian
+        # groups are Hopfian, so surjective implies bijective.
+        rows = [a + b for a, b in zip(self.matrix.rows, self.group.relators.rows)]
+        return all(d == 1 for d in invariant_factors(_matrix(tuple(rows))))
 
     @cached_property
     def twisted_decomposition(self) -> SmithDecomposition:
         """Smith decomposition of [M - I | R], whose columns span
         im(M - I) + span(relators); R(phi) and Fix(phi) both read it."""
-        cols = (self.matrix - IntMatrix.identity(self.group.n)).columns()
-        return smith_normal_form(IntMatrix.from_columns(cols + self.group.relators.columns()))
+        m, r = self.matrix.rows, self.group.relators.rows
+        rows = [m[i][:i] + (m[i][i] - 1,) + m[i][i + 1 :] + r[i] for i in range(len(m))]
+        return smith_normal_form(_matrix(tuple(rows)))
 
 
 class FixedSubgroup(_Value):
@@ -358,14 +361,11 @@ class FixedSubgroup(_Value):
 def fix_subgroup(auto: AbelianAuto) -> FixedSubgroup:
     """Kernel of (M - I) on the quotient: {x : (M - I)x in span(relators)}."""
     n = auto.group.n
-    rel_cols = auto.group.relators.columns()
     # The projections of ker[M - I | R] span the fixed lattice, which
     # contains span(R) because M stabilizes it.
     gens = [k[:n] for k in auto.twisted_decomposition.kernel()]
-    structure = lattice_quotient(gens, rel_cols, n)
-    return FixedSubgroup(
-        structure, tuple(g for g in gens if not auto.group.contains_in_relator_span(g))
-    )
+    structure = lattice_quotient(gens, auto.group.relators.columns(), n)
+    return FixedSubgroup(structure, tuple([g for g in gens if not auto.group.contains_in_relator_span(g)]))
 
 
 def reidemeister_number_abelian(auto: AbelianAuto) -> int | float:

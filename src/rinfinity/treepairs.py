@@ -10,16 +10,19 @@ right) matches composition of maps, left factor applied last.
 A leaf at depth d is the dyadic cell (d, i), the interval [i/2^d,
 (i+1)/2^d].  A tree's caret mask has bit i set when leaves i+1 and i+2
 form one caret, so a pair whose two masks share no bit is reduced.
+
+The PL realization (`leaf_intervals`, `to_pl`, `from_pl`) imports
+`fractions`, `numbers` and `plmaps` inside the functions that use them:
+a caller that needs only the trees and their characters, such as the
+Reidemeister workload with X0, X1 and `f_characters`, does not load (and
+in a fresh interpreter compile) the PL layer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from . import ParseError, _Value, _construct, _parse_part, _parts
-from .numbers import ONE, AdditiveGroup, ExactNumber, SlopeGroup
-from .plmaps import PLGroupSpec, PLMap, is_member
 
 
 class Tree(_Value):
@@ -205,6 +208,8 @@ def _cells(t: Tree) -> list[tuple[int, int]]:
 
 def leaf_intervals(t: Tree) -> list[tuple[Fraction, Fraction]]:
     """Standard dyadic intervals of the leaves, left to right."""
+    from fractions import Fraction
+
     return [(Fraction(i, 1 << d), Fraction(i + 1, 1 << d)) for d, i in _cells(t)]
 
 
@@ -351,11 +356,17 @@ def f_characters(d: TreePair) -> tuple[int, int]:
 
 @cache
 def _dyadic_spec() -> PLGroupSpec:
+    from .numbers import ONE, AdditiveGroup, SlopeGroup
+    from .plmaps import PLGroupSpec
+
     return PLGroupSpec(ONE, AdditiveGroup.z_inv(2), SlopeGroup.of(2))
 
 
 def to_pl(d: TreePair) -> PLMap:
     """The PL map carrying the plus-tree intervals onto the minus-tree ones."""
+    from .numbers import ExactNumber
+    from .plmaps import PLMap
+
     dom = leaf_intervals(d.plus)
     rng = leaf_intervals(d.minus)
     breaks = [ExactNumber.of(hi) for (_, hi) in dom[:-1]]
@@ -395,6 +406,10 @@ def from_pl(f: PLMap) -> TreePair:
     x and y/s multiples of w and x + w <= x1, and its image has width s*w.
     (w <= 1 and s*w <= 1 follow.)  Both trees are built from their leaf
     depths, then reduced."""
+    from fractions import Fraction
+
+    from .plmaps import is_member
+
     report = is_member(f, _dyadic_spec())
     if not report.ok:
         raise ValueError("map is not in the dyadic PL group: " + "; ".join(report.violations))

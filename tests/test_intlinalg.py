@@ -1,14 +1,17 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, prod
 
 import pytest
 import sympy
 from sympy import ZZ
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
 from rinfinity import intlinalg
+from rinfinity.finite_groups import automorphisms, small_groups_up_to_16
 from rinfinity.intlinalg import (
     AbelianAuto,
     FGAbelianGroup,
@@ -16,6 +19,7 @@ from rinfinity.intlinalg import (
     IntMatrix,
     SmithDecomposition,
     fix_subgroup,
+    invariant_factors,
     inverse_unimodular,
     kernel_basis,
     lattice_quotient,
@@ -196,6 +200,7 @@ def test_snf_matches_reference_entry_for_entry():
         ours, ref = smith_normal_form(mat), ref_smith_normal_form(mat)
         assert (ours.u, ours.s, ours.v) == (ref.u, ref.s, ref.v), mat
         assert ours.rank == ref.rank and ours.diagonal == ref.diagonal
+        assert invariant_factors(mat) == ref.diagonal
 
 
 def test_inverse_unimodular():
@@ -227,10 +232,33 @@ def test_from_columns_rejects_ragged_columns():
 
 
 def test_of_refuses_entries_that_are_not_integers():
-    assert IntMatrix.of([[True, 2], [sympy.Integer(3), -4]]).rows == ((1, 2), (3, -4))
+    m = IntMatrix.of([[True, 2], [sympy.Integer(3), -4]])
+    assert m.rows == ((1, 2), (3, -4))
+    assert all(type(x) is int for r in m.rows for x in r)
     for bad in (0.5, 2.0, Fraction(3, 2), Fraction(2), "1"):
         with pytest.raises(TypeError):
             IntMatrix.of([[bad, 1], [2, 3]])
+
+
+def test_constructor_takes_only_a_tuple_of_int_tuples():
+    # The constructor keeps its rows as given, so rows that are lists, or
+    # entries that are not int, would make a mutable, unhashable or
+    # unequal value; IntMatrix.of converts them instead.
+    m = IntMatrix(((1, 2), (3, 4)))
+    assert m == IntMatrix.of([[1, 2], [3, 4]]) and hash(m) == hash(IntMatrix.of([[1, 2], [3, 4]]))
+    assert IntMatrix(()).nrows == 0 and IntMatrix(((), ())).ncols == 0
+    lists = ([[1, 2]], [(1, 2)], ([1, 2],), (1, 2), "12")
+    entries = (1.5, 2.0, Fraction(1), True, sympy.Integer(1))
+    for bad in lists + tuple(((x, 2),) for x in entries):
+        with pytest.raises(TypeError, match="IntMatrix.of"):
+            IntMatrix(bad)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        IntMatrix(((1, 2), (3,)))
+    # Matrices the library builds itself skip the check but meet it.
+    snf = smith_normal_form(IntMatrix.of([[2, 4], [6, 8], [1, 3]]))
+    built_here = (snf.s.transpose(), snf.u - snf.u, snf.v * snf.v, IntMatrix.identity(3))
+    for built in (snf.u, snf.s, snf.v) + built_here:
+        assert IntMatrix(built.rows) == built
 
 
 def test_snf_diagonal_matches_sympy_invariant_factors():
@@ -248,9 +276,14 @@ def test_snf_diagonal_matches_sympy_invariant_factors():
         else:
             mat = random_matrix(rng, n, m)
         snf = smith_normal_form(mat)
-        theirs = [abs(int(d)) for d in invariant_factors(sympy.Matrix(mat.rows)) if d != 0]
+        theirs = [abs(int(d)) for d in sympy_invariant_factors(sympy.Matrix(mat.rows)) if d != 0]
         assert [d for d in snf.diagonal if d != 0] == theirs
         assert snf.rank == sympy.Matrix(mat.rows).rank()
+        assert invariant_factors(mat) == snf.diagonal
+    # No rows (the empty matrix) or no columns: no invariant factors.
+    for n in range(4):
+        mat = IntMatrix(((),) * n)
+        assert invariant_factors(mat) == smith_normal_form(mat).diagonal == ()
 
 
 def test_inverse_unimodular_rejects():
@@ -356,21 +389,106 @@ def test_fix_generators_are_fixed_and_nonzero():
         assert lattice_quotient(list(fixed.generators) + rels, rels, grp.n) == fixed.structure
 
 
+def count_reductions(monkeypatch) -> Counter:
+    """Count the calls of the two public Smith reductions, by name."""
+    calls = Counter()
+    for name in ("smith_normal_form", "invariant_factors"):
+
+        def counted(m, fn=getattr(intlinalg, name), name=name):
+            calls[name] += 1
+            return fn(m)
+
+        monkeypatch.setattr(intlinalg, name, counted)
+    return calls
+
+
 def test_one_twisted_decomposition_per_automorphism(monkeypatch):
-    # With the group's own decomposition already made: surjectivity, then
-    # [M - I | R] once for both R and Fix, then the two decompositions of
-    # lattice_quotient, 4 in all.
+    # With the group's own decomposition already made: invariant factors
+    # of [M | R] for surjectivity, one decomposition of [M - I | R] for
+    # both R and Fix, then in lattice_quotient a decomposition of the
+    # fixed lattice and the invariant factors of the relator coordinates.
     grp = FGAbelianGroup.from_relator_columns(3, [(2, 0, 0)])
     assert grp.structure().torsion == (2,)
-    calls = []
-    snf = intlinalg.smith_normal_form
-    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda m: calls.append(m) or snf(m))
+    calls = count_reductions(monkeypatch)
     auto = AbelianAuto(grp, IntMatrix.of([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]))
     assert reidemeister_number_abelian(auto) == 8
     assert fix_subgroup(auto).order == 2
-    assert len(calls) == 4
+    assert calls == {"smith_normal_form": 2, "invariant_factors": 2}
     assert reidemeister_number_abelian(auto) == 8
-    assert len(calls) == 4
+    assert calls == {"smith_normal_form": 2, "invariant_factors": 2}
+
+
+def catalogue_abelian_autos(per_group: int, seed: int):
+    """For each abelian group of order <= 16 in the catalogue, a seeded
+    sample of its automorphisms: (table group, permutation phi, the group
+    Z^k / diag(d) for the invariants d in its name, the integer matrix of
+    phi).  Elements are numbered in mixed radix over d, last factor
+    fastest; the table is checked to be that sum before matrices are read
+    off phi, and the groups are new on every call."""
+    rng = random.Random(seed)
+    out = []
+    for g in small_groups_up_to_16():
+        if not g.is_abelian:
+            continue
+        d = tuple(int(part[1:]) for part in g.name.split("x"))
+        coords = list(itertools.product(*(range(x) for x in d)))
+        index = {c: i for i, c in enumerate(coords)}
+        for a, b in itertools.product(range(g.order), repeat=2):
+            assert g.mul(a, b) == index[tuple((x + y) % m for x, y, m in zip(coords[a], coords[b], d))]
+        k = len(d)
+        unit = [index[tuple(int(i == j) % d[i] for i in range(k))] for j in range(k)]
+        rels = [tuple(x * int(i == j) for i in range(k)) for j, x in enumerate(d)]
+        group = FGAbelianGroup.from_relator_columns(k, rels)
+        for phi in rng.choices(automorphisms(g), k=per_group):
+            cols = [coords[phi[e]] for e in unit]
+            out.append((g, phi, group, IntMatrix.of([[c[i] for c in cols] for i in range(k)])))
+    return out
+
+
+def element_order(g, a: int) -> int:
+    k, x = 1, a
+    while x != 0:
+        x, k = g.mul(x, a), k + 1
+    return k
+
+
+def test_fix_and_reidemeister_number_match_the_multiplication_table():
+    # An oracle that shares no code with intlinalg: the fixed points of phi
+    # and the cosets of {x - phi(x)}, read off the table.  For a finite
+    # abelian A = Z/d1 + ... + Z/dt, |{x : k x = 0}| = prod gcd(k, di), and
+    # these counts for k = 1..|A| determine the di.
+    autos = catalogue_abelian_autos(per_group=12, seed=43)
+    assert len({g.name for g, *_ in autos}) == 25
+    for g, phi, group, matrix in autos:
+        n = g.order
+        auto = AbelianAuto(group, matrix)
+        fixed = fix_subgroup(auto)
+        fixed_points = [a for a in range(n) if phi[a] == a]
+        assert fixed.order == len(fixed_points), (g.name, phi)
+        torsion = fixed.structure.torsion
+        assert all(d > 1 for d in torsion) and all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+        orders = [element_order(g, a) for a in fixed_points]
+        for k in range(1, n + 1):
+            assert sum(1 for o in orders if k % o == 0) == prod(gcd(k, d) for d in torsion), (g.name, phi, k)
+        inverse = [next(b for b in range(n) if g.mul(a, b) == 0) for a in range(n)]
+        twisted_image = {g.mul(a, inverse[phi[a]]) for a in range(n)}
+        assert reidemeister_number_abelian(auto) == n // len(twisted_image), (g.name, phi)
+
+
+def test_work_per_automorphism_over_the_catalogue(monkeypatch):
+    # One pass over the 25 abelian catalogue groups, 4 fixed automorphisms
+    # each: one decomposition per group for its relators, and per
+    # automorphism 2 full decompositions and 2 reductions to invariant
+    # factors.  A reduction that builds U and V where only the diagonal is
+    # read shows here as a count, with no timing.
+    autos = catalogue_abelian_autos(per_group=4, seed=47)
+    calls = count_reductions(monkeypatch)
+    for _, _, group, matrix in autos:
+        auto = AbelianAuto(group, matrix)
+        reidemeister_number_abelian(auto)
+        fix_subgroup(auto)
+    assert len(autos) == 100
+    assert calls == {"smith_normal_form": 25 + 2 * 100, "invariant_factors": 2 * 100}
 
 
 def test_group_rejects_relators_of_wrong_height():
