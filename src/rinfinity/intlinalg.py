@@ -2,14 +2,14 @@
 systems, lattice quotients, and finitely generated abelian groups with
 automorphisms.
 
-Every lattice question reads one Smith reduction of plain row lists,
-which records U and V (U*M*V = S) only where a caller reads them.  A
-group Z^n/R decomposes its relators once.  An automorphism with matrix M
-makes two full decompositions, of [M - I | R] (read by both R(phi) and
-Fix(phi)) and of the fixed lattice, and two reductions to invariant
-factors only, of [M | R] (surjectivity) and of the relator coordinates
-in the fixed lattice (the structure of Fix(phi)).  Matrices are immutable
-row tuples of Python integers.
+Each Smith reduction is one `smith_reduce` of plain row lists, given only
+the identity block its caller reads: columns record U, rows record V
+(U*M*V = S), neither gives the diagonal alone.  A group Z^n/R decomposes
+its relators once; membership in span(R) reads U and the diagonal.  An
+automorphism M makes 4 reductions: [M | R] with neither (surjectivity),
+[M - I | R] with V's first n rows (R(phi) reads the diagonal, Fix(phi)
+the kernel), the fixed lattice with U (the relators' coordinates in it),
+and those coordinates with neither (Fix(phi)).  Matrices are int tuples.
 """
 
 from __future__ import annotations
@@ -96,6 +96,19 @@ def _matrix(rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
     return m
 
 
+def _quotients(c, d: tuple[int, ...]) -> list[int] | None:
+    """For c = U x, the coordinates c_i / d_i of x in the lattice basis U^-1 * S, or None if outside."""
+    y = []
+    for ci, di in zip(c, d):
+        if not di:
+            break
+        q, rem = divmod(ci, di)
+        if rem:
+            return None
+        y.append(q)
+    return None if any(c[len(y) :]) else y
+
+
 class SmithDecomposition(_Value):
     """U * M * V == S with U, V unimodular and S diagonal, d1 | d2 | ..."""
 
@@ -120,24 +133,16 @@ class SmithDecomposition(_Value):
 
     def solve(self, b) -> tuple[int, ...] | None:
         """One integer solution x of M x = b, or None if none exists."""
-        c = self.u.apply(tuple(b))
-        d = self.diagonal
-        y = [0] * self.v.nrows
-        for i, ci in enumerate(c):
-            if i < len(d) and d[i] != 0:
-                if ci % d[i] != 0:
-                    return None
-                y[i] = ci // d[i]
-            elif ci != 0:
-                return None
-        return self.v.apply(y)
+        y = _quotients(self.u.apply(tuple(b)), self.diagonal)
+        return None if y is None else self.v.apply(y + [0] * (self.v.nrows - len(y)))
 
 
-def _smith(a: list[list[int]], n: int, c: int) -> None:
-    """Diagonalize in place the n x c block at the top left of the row lists
-    a.  Row operations act on the whole of rows i < n and column operations
-    on columns j < c of every row, so identity rows to the right of the
-    block record U, identity rows below it record V, and none record none."""
+def smith_reduce(a: list[list[int]], n: int, c: int) -> tuple[int, ...]:
+    """Diagonalize in place the n x c block at the top left of the row lists a
+    and return its diagonal d1 | d2 | ... (nonnegative, nonzero ones first).
+    Row operations act on rows i < n, column operations on columns j < c of
+    every row: identity columns right of the block record U, identity rows
+    below it record V (U*M*V = S; k rows its first k), none the diagonal."""
     t = 0
     while t < min(n, c):
         # Re-pick the smallest nonzero entry of the trailing block as pivot
@@ -189,6 +194,7 @@ def _smith(a: list[list[int]], n: int, c: int) -> None:
                 break
         else:
             t += 1
+    return tuple([a[i][i] for i in range(min(n, c))])
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -196,17 +202,14 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     n, c = m.nrows, m.ncols
     a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.rows)]
     a += [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    _smith(a, n, c)
+    smith_reduce(a, n, c)
     u, s, v = [r[c:] for r in a[:n]], [r[:c] for r in a[:n]], a[n:]
     return SmithDecomposition(*[_matrix(tuple(map(tuple, x))) for x in (u, s, v)])
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """The diagonal of the Smith normal form of m, without building U and
-    V: `smith_normal_form(m).diagonal`."""
-    a = [list(r) for r in m.rows]
-    _smith(a, m.nrows, m.ncols)
-    return tuple([a[i][i] for i in range(min(m.nrows, m.ncols))])
+    """`smith_normal_form(m).diagonal`, without building U and V."""
+    return smith_reduce([list(r) for r in m.rows], m.nrows, m.ncols)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -253,28 +256,26 @@ class GroupStructure(_Value):
 
 def _structure(n: int, diagonal: tuple[int, ...]) -> GroupStructure:
     """Z^n modulo a relator matrix with these invariant factors."""
-    return GroupStructure(tuple([d for d in diagonal if d > 1]), n - sum(1 for d in diagonal if d))
+    return GroupStructure(tuple([d for d in diagonal if d > 1]), n - len(diagonal) + diagonal.count(0))
 
 
 def lattice_quotient(gens: list[tuple[int, ...]], rels: list[tuple[int, ...]], n: int) -> GroupStructure:
     """Structure of span(gens)/span(rels) inside Z^n.  Requires
     span(rels) <= span(gens); generator lists may be redundant."""
-    if not gens:
-        if any(any(x != 0 for x in r) for r in rels):
-            raise ValueError("relations not contained in the generated lattice")
-        return GroupStructure((), 0)
-    snf = smith_normal_form(IntMatrix.from_columns(gens))
-    r, d = snf.rank, snf.diagonal
-    # Lattice basis is U^-1 * diag(d) restricted to the first r columns;
-    # a relator b has basis coordinates ((U b)_i / d_i)_{i<r}.
-    coords = []
-    for b in rels:
-        c = snf.u.apply(b)
-        if any(c[i] != 0 for i in range(r, n)) or any(c[i] % d[i] != 0 for i in range(r)):
-            raise ValueError("relation lies outside the generated lattice")
-        coords.append(tuple([c[i] // d[i] for i in range(r)]))
+    if {*map(len, gens), *map(len, rels)} - {n}:
+        raise ValueError(f"every generator and relator must have length {n}")
+    k = len(gens)
+    a = [[g[i] for g in gens] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    d = smith_reduce(a, n, k)
+    # The relators' coordinates in the lattice basis U^-1 * diag(d).
+    u = [row[k:] for row in a]
+    coords = [_quotients([sum(map(mul, row, b)) for row in u], d) for b in rels]
+    if None in coords:
+        raise ValueError("relation lies outside the generated lattice")
     # Z^r modulo the coordinate columns, read off their invariant factors.
-    return _structure(r, invariant_factors(_matrix(tuple(zip(*coords)) if coords else ((),) * r)))
+    r = len(d) - d.count(0)
+    a = [list(x) for x in zip(*coords)] if coords else [[] for _ in range(r)]
+    return _structure(r, smith_reduce(a, r, len(coords)))
 
 
 class FGAbelianGroup(_Value):
@@ -283,6 +284,8 @@ class FGAbelianGroup(_Value):
     __slots__ = ("n", "relators", "__dict__")  # relators: n x k, columns are relators
 
     def __init__(self, n: int, relators: IntMatrix) -> None:
+        if not isinstance(relators, IntMatrix):
+            raise TypeError("FGAbelianGroup takes an IntMatrix of relators; IntMatrix.of converts other rows")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "relators", relators)
         if self.relators.nrows != self.n:
@@ -306,40 +309,38 @@ class FGAbelianGroup(_Value):
         return _structure(self.n, self.decomposition.diagonal)
 
     def contains_in_relator_span(self, vec: tuple[int, ...]) -> bool:
-        return self.decomposition.solve(vec) is not None
+        return _quotients(self.decomposition.u.apply(vec), self.decomposition.diagonal) is not None
 
 
 class AbelianAuto(_Value):
-    """Automorphism of Z^n / relators, given by an integer matrix that
-    descends to the quotient and is invertible on it."""
+    """Automorphism of Z^n / relators, given by an integer matrix that descends
+    to the quotient and is invertible on it, both checked; [M - I | R] is reduced once."""
 
     __slots__ = ("group", "matrix", "__dict__")
 
     def __init__(self, group: FGAbelianGroup, matrix: IntMatrix) -> None:
+        if not (isinstance(group, FGAbelianGroup) and isinstance(matrix, IntMatrix)):
+            raise TypeError("AbelianAuto takes an FGAbelianGroup and an IntMatrix; IntMatrix.of converts other rows")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "matrix", matrix)
-        if not self.matrix.nrows == self.matrix.ncols == self.group.n:
+        n, c = group.n, group.n + group.relators.ncols
+        if not matrix.nrows == matrix.ncols == n:
             raise ValueError("matrix must be n x n")
-        for col in self.group.relators.columns():
-            if not self.group.contains_in_relator_span(self.matrix.apply(col)):
+        u, d = group.decomposition.u.rows, group.decomposition.diagonal
+        for col in zip(*group.relators.rows):
+            image = [sum(map(mul, row, col)) for row in matrix.rows]
+            if _quotients([sum(map(mul, row, image)) for row in u], d) is None:
                 raise ValueError("matrix does not stabilize the relator lattice")
-        if not self._is_surjective():
+        # Bijective iff onto (f.g. abelian groups are Hopfian), iff [M | R] has unit invariant factors.
+        rows = [m + r for m, r in zip(matrix.rows, group.relators.rows)]
+        if smith_reduce([list(row) for row in rows], n, c).count(1) != n:
             raise ValueError("matrix is not invertible on the quotient")
-
-    def _is_surjective(self) -> bool:
-        # Surjective iff im(M) + span(relators) = Z^n, that is iff the n
-        # invariant factors of [M | R] (n x (n + k)) are units; f.g. abelian
-        # groups are Hopfian, so surjective implies bijective.
-        rows = [a + b for a, b in zip(self.matrix.rows, self.group.relators.rows)]
-        return all(d == 1 for d in invariant_factors(_matrix(tuple(rows))))
-
-    @cached_property
-    def twisted_decomposition(self) -> SmithDecomposition:
-        """Smith decomposition of [M - I | R], whose columns span
-        im(M - I) + span(relators); R(phi) and Fix(phi) both read it."""
-        m, r = self.matrix.rows, self.group.relators.rows
-        rows = [m[i][:i] + (m[i][i] - 1,) + m[i][i + 1 :] + r[i] for i in range(len(m))]
-        return smith_normal_form(_matrix(tuple(rows)))
+        # [M - I | R] with V's first n rows, whose columns past the rank span the fixed lattice.
+        a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        a += [[1 if i == j else 0 for j in range(c)] for i in range(n)]
+        diagonal = smith_reduce(a, n, c)
+        object.__setattr__(self, "_diagonal", diagonal)
+        object.__setattr__(self, "_kernel", list(zip(*a[n:]))[n - diagonal.count(0) :])
 
 
 class FixedSubgroup(_Value):
@@ -359,19 +360,18 @@ class FixedSubgroup(_Value):
 
 
 def fix_subgroup(auto: AbelianAuto) -> FixedSubgroup:
-    """Kernel of (M - I) on the quotient: {x : (M - I)x in span(relators)}."""
-    n = auto.group.n
-    # The projections of ker[M - I | R] span the fixed lattice, which
-    # contains span(R) because M stabilizes it.
-    gens = [k[:n] for k in auto.twisted_decomposition.kernel()]
-    structure = lattice_quotient(gens, auto.group.relators.columns(), n)
-    return FixedSubgroup(structure, tuple([g for g in gens if not auto.group.contains_in_relator_span(g)]))
+    """Kernel of (M - I) on the quotient, {x : (M - I)x in span(R)}, a lattice
+    that contains span(R) because M stabilizes it; made once per automorphism."""
+    fixed = getattr(auto, "_fixed", None)
+    if fixed is None:
+        group, gens = auto.group, auto._kernel
+        structure = lattice_quotient(gens, group.relators.columns(), group.n)
+        fixed = FixedSubgroup(structure, tuple([g for g in gens if not group.contains_in_relator_span(g)]))
+        object.__setattr__(auto, "_fixed", fixed)
+    return fixed
 
 
 def reidemeister_number_abelian(auto: AbelianAuto) -> int | float:
-    """Number of twisted conjugacy classes of phi on G = Z^n / R: the order
-    of G / (phi - 1)G = Z^n / (im(M - I) + span R), the product of the
-    invariant factors of [M - I | R].  Infinite iff that matrix has rank
-    below n, which happens iff Fix(phi) is infinite."""
-    snf = auto.twisted_decomposition
-    return prod(snf.diagonal) if snf.rank == auto.group.n else inf
+    """R(phi) on G = Z^n / R, the order of G / (phi - 1)G = Z^n / (im(M - I) + span R):
+    the product of the invariant factors of [M - I | R], infinite iff Fix(phi) is."""
+    return prod(auto._diagonal) or inf

@@ -389,33 +389,36 @@ def test_fix_generators_are_fixed_and_nonzero():
         assert lattice_quotient(list(fixed.generators) + rels, rels, grp.n) == fixed.structure
 
 
-def count_reductions(monkeypatch) -> Counter:
-    """Count the calls of the two public Smith reductions, by name."""
-    calls = Counter()
-    for name in ("smith_normal_form", "invariant_factors"):
+def record_reductions(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """Record each call of the Smith kernel: the block shape (n, c), the
+    identity columns appended to the right of the block (U) and the
+    identity rows appended below it (V)."""
+    calls = []
+    kernel = intlinalg.smith_reduce
 
-        def counted(m, fn=getattr(intlinalg, name), name=name):
-            calls[name] += 1
-            return fn(m)
+    def recorded(a, n, c):
+        calls.append((n, c, len(a[0]) - c if n else 0, len(a) - n))
+        return kernel(a, n, c)
 
-        monkeypatch.setattr(intlinalg, name, counted)
+    monkeypatch.setattr(intlinalg, "smith_reduce", recorded)
     return calls
 
 
 def test_one_twisted_decomposition_per_automorphism(monkeypatch):
-    # With the group's own decomposition already made: invariant factors
-    # of [M | R] for surjectivity, one decomposition of [M - I | R] for
-    # both R and Fix, then in lattice_quotient a decomposition of the
-    # fixed lattice and the invariant factors of the relator coordinates.
+    # With the group's own decomposition already made: [M | R] bare for
+    # surjectivity, [M - I | R] with the first n rows of V for both R and
+    # Fix, then in lattice_quotient the fixed lattice with U and the
+    # relator coordinates bare.
     grp = FGAbelianGroup.from_relator_columns(3, [(2, 0, 0)])
     assert grp.structure().torsion == (2,)
-    calls = count_reductions(monkeypatch)
+    calls = record_reductions(monkeypatch)
     auto = AbelianAuto(grp, IntMatrix.of([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]))
     assert reidemeister_number_abelian(auto) == 8
     assert fix_subgroup(auto).order == 2
-    assert calls == {"smith_normal_form": 2, "invariant_factors": 2}
+    assert calls == [(3, 4, 0, 0), (3, 4, 0, 3), (3, 1, 3, 0), (1, 1, 0, 0)]
     assert reidemeister_number_abelian(auto) == 8
-    assert calls == {"smith_normal_form": 2, "invariant_factors": 2}
+    assert fix_subgroup(auto).order == 2
+    assert len(calls) == 4
 
 
 def catalogue_abelian_autos(per_group: int, seed: int):
@@ -477,18 +480,29 @@ def test_fix_and_reidemeister_number_match_the_multiplication_table():
 
 def test_work_per_automorphism_over_the_catalogue(monkeypatch):
     # One pass over the 25 abelian catalogue groups, 4 fixed automorphisms
-    # each: one decomposition per group for its relators, and per
-    # automorphism 2 full decompositions and 2 reductions to invariant
-    # factors.  A reduction that builds U and V where only the diagonal is
-    # read shows here as a count, with no timing.
+    # each: one decomposition per group for its relators (U and V), and
+    # per automorphism one reduction that records the first n rows of V
+    # (the twisted kernel), one that records U (the fixed lattice) and two
+    # bare ones (surjectivity, the structure of Fix).  A transform built
+    # where no one reads it shows here as a count, with no timing.
     autos = catalogue_abelian_autos(per_group=4, seed=47)
-    calls = count_reductions(monkeypatch)
+    calls = record_reductions(monkeypatch)
+    made = []
     for _, _, group, matrix in autos:
         auto = AbelianAuto(group, matrix)
         reidemeister_number_abelian(auto)
         fix_subgroup(auto)
+        made.append(auto)
     assert len(autos) == 100
-    assert calls == {"smith_normal_form": 25 + 2 * 100, "invariant_factors": 2 * 100}
+    kinds = Counter(
+        {(0, 0): "bare", (n, 0): "U", (0, n): "V rows", (n, c): "U and V"}.get((u, v), "other")
+        for n, c, u, v in calls
+    )
+    assert kinds == {"U and V": 25, "V rows": 100, "U": 100, "bare": 200}
+    for auto in made:
+        reidemeister_number_abelian(auto)
+        fix_subgroup(auto)
+    assert len(calls) == 425
 
 
 def test_group_rejects_relators_of_wrong_height():
@@ -527,3 +541,42 @@ def test_fix_infinite_iff_reidemeister_infinite():
 def test_lattice_quotient_rejects_outside_relations():
     with pytest.raises(ValueError):
         lattice_quotient([(2, 0)], [(1, 0)], 2)
+
+
+def test_lattice_quotient_rejects_vectors_of_the_wrong_length():
+    # A longer vector would lose its last coordinates without a word, a
+    # shorter one would be read past its end.
+    assert lattice_quotient([(1, 0)], [(1, 0)], 2).free_rank == 0
+    for gens, rels, n in (([(1, 0, 0)], [(1, 0, 0)], 2), ([(1, 0)], [(1, 0)], 3), ([(1, 0)], [(1,)], 2)):
+        with pytest.raises(ValueError, match="length"):
+            lattice_quotient(gens, rels, n)
+
+
+def test_wrong_argument_types_raise_type_error():
+    with pytest.raises(TypeError, match="IntMatrix.of"):
+        FGAbelianGroup(2, [[1], [0]])
+    with pytest.raises(TypeError, match="IntMatrix.of"):
+        AbelianAuto(FGAbelianGroup.free(1), [[1]])
+    with pytest.raises(TypeError, match="FGAbelianGroup"):
+        AbelianAuto(IntMatrix.of([[2]]), IntMatrix.of([[1]]))
+
+
+def test_relators_skewed_against_the_axes():
+    # Conjugating by a unimodular P turns Z^n/R with matrix M into the same
+    # automorphism of Z^n/PR with matrix P M P^-1, whose relator lattice is
+    # no longer spanned by multiples of unit vectors.
+    rng = random.Random(53)
+    for _ in range(300):
+        auto = random_abelian_auto(rng)
+        n = auto.group.n
+        p = random_unimodular(rng, n)
+        group = FGAbelianGroup(n, p * auto.group.relators)
+        skewed = AbelianAuto(group, p * auto.matrix * inverse_unimodular(p))
+        fixed = fix_subgroup(skewed)
+        assert reidemeister_number_abelian(skewed) == reidemeister_number_abelian(auto)
+        assert fixed.structure == fix_subgroup(auto).structure
+        for g in fixed.generators:
+            assert same_element(group, skewed.matrix.apply(g), g)
+            assert not group.contains_in_relator_span(g)
+        rels = group.relators.columns()
+        assert lattice_quotient(list(fixed.generators) + rels, rels, n) == fixed.structure
