@@ -1,7 +1,8 @@
 """Braided paired tree diagrams (T_minus, braid, T_plus) up to
 expansion/reduction, and the braided Thompson groups they form.  An
 expansion grafts a subtree at both ends of one strand and cables that
-strand; the tree-depth characters are `treepairs.f_characters`.
+strand; `multiply` makes the expansions a product needs in one pass.  The
+tree-depth characters are `treepairs.f_characters`.
 
 Conventions: the minus tree is drawn on top with leaves 1..n left to
 right, strands run top to bottom, strand s joins leaf s of the minus tree
@@ -12,9 +13,8 @@ position i over position i+1.
 from __future__ import annotations
 
 from . import ParseError, _Value, _construct, _parse_part, _parts
-from .braids import BraidWord, _cable, braid_equal, cable, format_braid, parse_braid
+from .braids import BraidWord, _cable, braid_equal, format_braid, parse_braid
 from .treepairs import (
-    CARET,
     LEAF,
     X0,
     X1,
@@ -57,19 +57,6 @@ IDENTITY = BraidedDiagram(LEAF, BraidWord(1), LEAF)
 def from_treepair(d: TreePair) -> BraidedDiagram:
     """Embed an element of F as a trivial-braid diagram."""
     return BraidedDiagram(d.minus, BraidWord.identity(d.minus.leaves), d.plus)
-
-
-def expansion(d: BraidedDiagram, leaf: int, subtree: Tree = CARET) -> BraidedDiagram:
-    """Graft `subtree` at minus-leaf `leaf` and at the plus leaf its strand
-    reaches, cabling that strand into `subtree.leaves` parallel strands."""
-    if not 1 <= leaf <= d.n_strands:
-        raise ValueError(f"leaf {leaf} out of range")
-    partner = d.braid.permutation()[leaf - 1]
-    return BraidedDiagram(
-        _graft(d.minus, [(leaf, subtree)]),
-        cable(d.braid, leaf, subtree.leaves),
-        _graft(d.plus, [(partner, subtree)]),
-    )
 
 
 def inverse(d: BraidedDiagram) -> BraidedDiagram:

@@ -37,6 +37,8 @@ class BraidWord(_Value):
     __slots__ = ("n", "letters")
 
     def __init__(self, n: int, letters: tuple[int, ...] = ()) -> None:
+        if type(n) is not int or type(letters) is not tuple:
+            raise TypeError("BraidWord takes an int strand count and a tuple of int letters")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
         if self.n < 1:
@@ -150,10 +152,6 @@ def braid_equal(b1: BraidWord, b2: BraidWord) -> bool:
     return len(handle_reduce(quotient).letters) == 0
 
 
-def is_trivial(b: BraidWord) -> bool:
-    return braid_equal(b, BraidWord.identity(b.n))
-
-
 def _block_cross(base: int, u: int, v: int, sign: int) -> list[int]:
     """Letters crossing a width-u block (positions base..base+u-1) with the
     width-v block to its right, all crossings with the given sign."""
@@ -184,16 +182,6 @@ def _cable(b: BraidWord, widths: dict[int, int]) -> BraidWord:
         width[i - 1], width[i] = v, u
         start[i] = start[i - 1] + v
     return BraidWord(start[-1] + width[-1] - 1, tuple(out))
-
-
-def cable(b: BraidWord, strand: int, width: int = 2) -> BraidWord:
-    """Replace the strand with the given start position by `width` parallel
-    strands, 2 by default, rewriting each crossing as a block crossing."""
-    if width < 1:
-        raise ValueError(f"cable width {width} is below 1")
-    if not 1 <= strand <= b.n:
-        raise ValueError(f"strand {strand} out of range")
-    return _cable(b, {strand: width})
 
 
 def format_braid(b: BraidWord) -> str:

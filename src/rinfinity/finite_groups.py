@@ -8,11 +8,9 @@ normal subgroup N by a cyclic group C_m (`extension`), given by an
 automorphism alpha of N and an element t of N.  `semidirect_cyclic`,
 `dihedral` and `dicyclic` are such extensions of a cyclic N.
 
-Automorphisms are enumerated by images of a generating sequence
-g_0 .. g_{k-1}, as cosets of the stabilisers S_i of g_0 .. g_{i-1}: one
-representative per coset is found by a pruned search and verified on the
-whole table (or is a product of verified ones), and every other
-automorphism is a product of verified ones.
+Automorphisms are enumerated by images of a generating sequence, as
+cosets of the stabilisers of its prefixes; each is verified on the whole
+table or is a product of verified ones (see `automorphisms`).
 
 Elements are 0..n-1 with 0 the identity; the table is a flat tuple with
 table[a * n + b] = a * b.
@@ -31,6 +29,8 @@ class FiniteGroup(_Value):
     __slots__ = ("name", "table", "__dict__")
 
     def __init__(self, name: str, table: tuple[int, ...]) -> None:
+        if type(table) is not tuple:
+            raise TypeError(f"FiniteGroup table must be a tuple, not {type(table).__name__}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "table", table)
         n = self.order

@@ -59,9 +59,6 @@ class IntMatrix(_Value):
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple([r[j] for r in self.rows])
-
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.rows))
 
@@ -207,11 +204,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(*[_matrix(tuple(map(tuple, x))) for x in (u, s, v)])
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """`smith_normal_form(m).diagonal`, without building U and V."""
-    return smith_reduce([list(r) for r in m.rows], m.nrows, m.ncols)
-
-
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Inverse of an integer matrix with determinant +-1, exactly: V*U
     for U*M*V = I."""
@@ -242,10 +234,6 @@ class GroupStructure(_Value):
     @property
     def order(self) -> int | float:
         return inf if self.free_rank > 0 else prod(self.torsion)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion]

@@ -8,7 +8,8 @@ the cylinder at the finite address s and fix everything else.  Words act
 rightmost letter first.  The variants G, yG, Gy, yGy differ only in the
 ends (0...0, 1...1) at which they have y-letters; `_Y_ENDS` records them,
 and the allowed y-addresses and the domain of each character chi_b / psi_b
-are read off it.  The five defining relations are read off one table in
+are read off it; `characters` reads their values off the germs of the
+word's map.  The five defining relations are read off one table in
 `relation_suite`, which skips an instance for the reason the table gives
 or for a y-letter the variant does not allow.
 
@@ -72,6 +73,8 @@ class LMLetter(_Value):
     __slots__ = ("kind", "address", "sign")  # kind: 'x' or 'y'
 
     def __init__(self, kind: str, address: Bits, sign: int = 1) -> None:
+        if type(address) is not tuple:
+            raise TypeError(f"LMLetter address must be a tuple of bits, not {type(address).__name__}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "address", address)
         object.__setattr__(self, "sign", sign)
@@ -94,6 +97,8 @@ class LMWord(_Value):
     __slots__ = ("letters", "variant")
 
     def __init__(self, letters: tuple[LMLetter, ...], variant: str = "yGy") -> None:
+        if type(letters) is not tuple:
+            raise TypeError(f"LMWord letters must be a tuple, not {type(letters).__name__}")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "variant", variant)
         if self.variant not in VARIANTS:
@@ -336,6 +341,8 @@ class DepthVerdict(_Value):
 def equal_up_to_depth(w1: LMWord, w2: LMWord, d: int) -> DepthVerdict:
     """Decide w1 = w2 by comparing their `word_map`s; for distinct words,
     `_search` looks for a witness at depth d."""
+    if type(d) is not int:
+        raise TypeError(f"depth must be an int, not {type(d).__name__}")
     if d < 1:
         raise ValueError("depth must be >= 1")
     if word_map(w1) == word_map(w2):
@@ -471,37 +478,29 @@ def relation_suite(s: Bits, t: Bits, d: int, variant: str = "yGy") -> list[Relat
 
 # --- characters -----------------------------------------------------------
 
-# Each character sums weight * sign over the letters of one kind whose
-# address is constant at one end.  chi_b is defined where the variant has
-# no y-letters at end b, psi_b where it has.
-_CHARACTER_RULES = {
-    "chi0": ("x", 0, -1),
-    "chi1": ("x", 1, 1),
-    "psi0": ("y", 0, 1),
-    "psi1": ("y", 1, 1),
-}
-CHARACTERS = tuple(_CHARACTER_RULES)
-
-
-def _defined_on(name: str, variant: str) -> bool:
-    kind, end, _ = _CHARACTER_RULES[name]
-    return (kind == "y") == (end in _Y_ENDS[variant])
+CHARACTERS = ("chi0", "chi1", "psi0", "psi1")
 
 
 def character_value(word: LMWord, name: str) -> int:
-    if name not in _CHARACTER_RULES:
+    if name not in CHARACTERS:
         raise ValueError(f"unknown character {name!r}")
-    if not _defined_on(name, word.variant):
+    values = characters(word)
+    if name not in values:
         raise ValueError(f"character {name} is not defined on variant {word.variant}")
-    kind, end, weight = _CHARACTER_RULES[name]
-    return weight * sum(
-        l.sign for l in word.letters if l.kind == kind and is_constant(l.address, end)
-    )
+    return values[name]
 
 
 def characters(word: LMWord) -> dict[str, int]:
-    """Values of every character defined on the word's variant."""
-    return {n: character_value(word, n) for n in CHARACTERS if _defined_on(n, word.variant)}
+    """The characters defined on the word's variant, read off the germs of
+    its map, first piece (a, 0, c, d) and last (A, B, 0, D): psi0 = log2(a/d),
+    psi1 = log2(A/D), and at a parabolic end chi0 = c/a (a = d), chi1 = B/D."""
+    pieces = word_map(word)
+    a, _, c, d = pieces[0][2]
+    A, B, _, D = pieces[-1][2]
+    ends = _Y_ENDS[word.variant]
+    at0 = ("psi0", a.bit_length() - d.bit_length()) if 0 in ends else ("chi0", c // a)
+    at1 = ("psi1", A.bit_length() - D.bit_length()) if 1 in ends else ("chi1", B // D)
+    return dict((at0, at1))
 
 
 # --- word literals --------------------------------------------------------

@@ -261,9 +261,6 @@ class ExactNumber(_Value):
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
-    def __abs__(self) -> ExactNumber:
-        return -self if self.sign() < 0 else self
-
     def __str__(self) -> str:
         return format_number(self)
 
@@ -431,6 +428,8 @@ class SlopeGroup(_Value):
     __slots__ = ("generators", "__dict__")
 
     def __init__(self, generators: tuple[ExactNumber, ...]) -> None:
+        if type(generators) is not tuple:
+            raise TypeError("SlopeGroup takes a tuple of ExactNumbers; SlopeGroup.of converts other values")
         object.__setattr__(self, "generators", generators)
         if not self.generators:
             raise ValueError("slope group needs at least one generator")

@@ -137,9 +137,6 @@ class PLMap(_Value):
         knots = [(y, x) for x, y in self._knots]
         return _from_knots(self.ell, knots, [s.inverse() for s in self.slopes])
 
-    def __mul__(self, other: PLMap) -> PLMap:
-        return compose(self, other)
-
     def __str__(self) -> str:
         return format_plmap(self)
 

@@ -4,8 +4,9 @@ abelianizations.
 
 The heavy lifting on abelian groups (Smith normal form, fixed subgroups,
 twisted class counts) lives in intlinalg; the brute-force finite oracle
-lives in finite_groups.  This module adds the character-level operations
-and re-exports the abelian ones for convenience.
+lives in finite_groups.  This module adds the character-level operations.
+Its one re-export, `reidemeister_number_abelian`, is read from here by the
+benchmark's certificate workload, which puts R(phi) beside each certificate.
 """
 
 from __future__ import annotations
@@ -13,32 +14,8 @@ from __future__ import annotations
 from math import gcd
 
 from . import _Value
-from .intlinalg import (
-    AbelianAuto,
-    FGAbelianGroup,
-    FixedSubgroup,
-    IntMatrix,
-    fix_subgroup,
-    inverse_unimodular,
-    kernel_basis,
-    reidemeister_number_abelian,
-    smith_normal_form,
-)
-
-__all__ = [
-    "AbelianAuto",
-    "FGAbelianGroup",
-    "FixedSubgroup",
-    "IntMatrix",
-    "CharacterData",
-    "PipelineResult",
-    "fix_subgroup",
-    "fixed_vector_certificate",
-    "normalize_ray",
-    "reidemeister_number_abelian",
-    "smith_normal_form",
-    "swap_matrix",
-]
+from .intlinalg import IntMatrix, inverse_unimodular, kernel_basis
+from .intlinalg import reidemeister_number_abelian  # noqa: F401  (read by perfbench/workloads.py)
 
 
 def normalize_ray(vector: tuple[int, ...]) -> tuple[int, ...]:

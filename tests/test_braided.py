@@ -9,7 +9,6 @@ from rinfinity.braided import (
     IDENTITY,
     BraidedDiagram,
     equal,
-    expansion,
     from_treepair,
     inverse,
     is_identity,
@@ -22,12 +21,7 @@ from rinfinity.braids import BraidWord, braid_equal
 from rinfinity import treepairs as tp
 from rinfinity.treepairs import LEAF, Tree, TreePair, caret, f_characters
 
-
-def random_tree(rng, n_leaves):
-    if n_leaves == 1:
-        return LEAF
-    k = rng.randint(1, n_leaves - 1)
-    return caret(random_tree(rng, k), random_tree(rng, n_leaves - k))
+from oracles import expansion, random_tree
 
 
 def random_pure_braid(rng, n, length=3):

@@ -6,9 +6,7 @@ from math import gcd, inf, prod
 
 import pytest
 import sympy
-from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
-from sympy.polys.matrices import DomainMatrix
 
 from rinfinity import intlinalg
 from rinfinity.finite_groups import automorphisms, small_groups_up_to_16
@@ -19,7 +17,6 @@ from rinfinity.intlinalg import (
     IntMatrix,
     SmithDecomposition,
     fix_subgroup,
-    invariant_factors,
     inverse_unimodular,
     kernel_basis,
     lattice_quotient,
@@ -27,10 +24,7 @@ from rinfinity.intlinalg import (
     smith_normal_form,
 )
 
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by sympy, over its integer domain ZZ."""
-    return int(DomainMatrix.from_list(m.rows, ZZ).det())
+from oracles import det
 
 
 def same_element(group: FGAbelianGroup, x, y) -> bool:
@@ -200,7 +194,7 @@ def test_snf_matches_reference_entry_for_entry():
         ours, ref = smith_normal_form(mat), ref_smith_normal_form(mat)
         assert (ours.u, ours.s, ours.v) == (ref.u, ref.s, ref.v), mat
         assert ours.rank == ref.rank and ours.diagonal == ref.diagonal
-        assert invariant_factors(mat) == ref.diagonal
+        assert intlinalg.smith_reduce([list(r) for r in mat.rows], mat.nrows, mat.ncols) == ref.diagonal
 
 
 def test_inverse_unimodular():
@@ -279,11 +273,12 @@ def test_snf_diagonal_matches_sympy_invariant_factors():
         theirs = [abs(int(d)) for d in sympy_invariant_factors(sympy.Matrix(mat.rows)) if d != 0]
         assert [d for d in snf.diagonal if d != 0] == theirs
         assert snf.rank == sympy.Matrix(mat.rows).rank()
-        assert invariant_factors(mat) == snf.diagonal
+        assert intlinalg.smith_reduce([list(r) for r in mat.rows], mat.nrows, mat.ncols) == snf.diagonal
     # No rows (the empty matrix) or no columns: no invariant factors.
     for n in range(4):
         mat = IntMatrix(((),) * n)
-        assert invariant_factors(mat) == smith_normal_form(mat).diagonal == ()
+        diagonal = intlinalg.smith_reduce([list(r) for r in mat.rows], mat.nrows, mat.ncols)
+        assert diagonal == smith_normal_form(mat).diagonal == ()
 
 
 def test_inverse_unimodular_rejects():
@@ -309,6 +304,18 @@ def test_solve_and_kernel():
         assert mat.apply(sol) == b
         for k in kernel_basis(mat):
             assert mat.apply(k) == (0,) * n
+
+
+def test_str_of_matrices_and_structures():
+    assert str(IntMatrix.of([[1, -2], [3, 4]])) == "[[1, -2], [3, 4]]"
+    assert str(IntMatrix.of([[0, 5, -7]])) == "[[0, 5, -7]]"
+    assert str(IntMatrix(())) == "[]"
+    assert str(intlinalg.GroupStructure((2, 4), 1)) == "Z/2 + Z/4 + Z^1"
+    assert str(intlinalg.GroupStructure((3,), 0)) == "Z/3"
+    assert str(intlinalg.GroupStructure((), 2)) == "Z^2"
+    assert str(intlinalg.GroupStructure((), 0)) == "0"
+    group = FGAbelianGroup.from_relator_columns(3, [(2, 0, 0), (0, 4, 0)])
+    assert str(group.structure()) == "Z/2 + Z/4 + Z^1"
 
 
 def test_gw_relator_invariant_factors():

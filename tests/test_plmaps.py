@@ -387,6 +387,22 @@ def random_word(rng, family, max_letters, min_letters=1):
     return out
 
 
+def test_str_parses_back():
+    rng = random.Random(59)
+    for family in sorted(FAMILIES):
+        for _ in range(10):
+            f = random_word(rng, family, 6)
+            assert parse_plmap(str(f)) == f
+
+
+def test_str_of_group_specs():
+    assert str(F_SPEC) == "G([0,1]; Z[1/2], <2>)"
+    assert str(F23_SPEC) == "G([0,1]; Z[1/6], <2,3>)"
+    assert str(FTAU_SPEC) == "G([0,1]; Z[t], <0+1*t>)"
+    spec = PLGroupSpec(R(3, 2), AdditiveGroup.rationals(), SlopeGroup.of(Fraction(3, 2)))
+    assert str(spec) == "G([0,3/2]; Q, <3/2>)"
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_compose_matches_reference(family):
     rng = random.Random(53)

@@ -2,8 +2,6 @@ import random
 from math import inf
 
 import pytest
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
 
 from rinfinity.finite_groups import abelian_group, automorphisms, twisted_classes
 from rinfinity.intlinalg import AbelianAuto, FGAbelianGroup, IntMatrix, fix_subgroup
@@ -15,10 +13,7 @@ from rinfinity.reidemeister import (
     swap_matrix,
 )
 
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by sympy, over its integer domain ZZ."""
-    return int(DomainMatrix.from_list(m.rows, ZZ).det())
+from oracles import det
 
 
 def random_unimodular2(rng):

@@ -30,15 +30,10 @@ from rinfinity.treepairs import (
     to_pl,
 )
 
+from oracles import random_tree
+
 R = ExactNumber.rational
 LETTERS = (X0, X1, inverse(X0), inverse(X1))
-
-
-def random_tree(rng, n_leaves):
-    if n_leaves == 1:
-        return LEAF
-    k = rng.randint(1, n_leaves - 1)
-    return caret(random_tree(rng, k), random_tree(rng, n_leaves - k))
 
 
 def random_pair(rng, max_leaves=8):
