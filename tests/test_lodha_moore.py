@@ -61,7 +61,7 @@ def all_addresses(max_len):
 
 
 @functools.lru_cache(maxsize=None)
-def y_addresses(variant, max_len):
+def allowed_y_addresses(variant, max_len):
     return tuple(a for a in all_addresses(max_len) if y_address_allowed(a, variant))
 
 
@@ -551,7 +551,7 @@ def assert_canonical(pieces):
 
 def random_word(rng, variant, max_letters, max_address):
     addresses = all_addresses(max_address)
-    y_allowed = y_addresses(variant, max_address)
+    y_allowed = allowed_y_addresses(variant, max_address)
     letters = []
     for _ in range(rng.randint(1, max_letters)):
         kind = rng.choice("xy")
