@@ -37,7 +37,7 @@ class BraidWord(_Value):
     __slots__ = ("n", "letters")
 
     def __init__(self, n: int, letters: tuple[int, ...] = ()) -> None:
-        if type(n) is not int or type(letters) is not tuple:
+        if type(n) is not int or type(letters) is not tuple or not all(type(l) is int for l in letters):
             raise TypeError("BraidWord takes an int strand count and a tuple of int letters")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
@@ -54,10 +54,10 @@ class BraidWord(_Value):
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
             raise ValueError("strand counts differ")
-        return BraidWord(self.n, self.letters + other.letters)
+        return _braid(self.n, self.letters + other.letters)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.n, tuple(-l for l in reversed(self.letters)))
+        return _braid(self.n, tuple([-l for l in reversed(self.letters)]))
 
     def permutation(self) -> tuple[int, ...]:
         """perm[s-1] is the end position of the strand starting at s."""
@@ -92,6 +92,15 @@ class BraidWord(_Value):
 
     def __str__(self) -> str:
         return format_braid(self)
+
+
+def _braid(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """The word of these letters on n strands, built without the checks:
+    for words made from checked words, whose letters are in range."""
+    b = object.__new__(BraidWord)
+    object.__setattr__(b, "n", n)
+    object.__setattr__(b, "letters", letters)
+    return b
 
 
 def _push_reduced(stack: list[int], letters) -> list[int]:
@@ -137,7 +146,7 @@ def handle_reduce(word: BraidWord) -> BraidWord:
         for m in out[p:]:
             where[abs(m)].pop()
         del out[p:]
-    return BraidWord(word.n, tuple(out))
+    return _braid(word.n, tuple(out))
 
 
 def braid_equal(b1: BraidWord, b2: BraidWord) -> bool:
@@ -181,7 +190,7 @@ def _cable(b: BraidWord, widths: dict[int, int]) -> BraidWord:
         out.extend(_block_cross(start[i - 1], u, v, 1 if l > 0 else -1))
         width[i - 1], width[i] = v, u
         start[i] = start[i - 1] + v
-    return BraidWord(start[-1] + width[-1] - 1, tuple(out))
+    return _braid(start[-1] + width[-1] - 1, tuple(out))
 
 
 def format_braid(b: BraidWord) -> str:

@@ -140,11 +140,11 @@ def smith_reduce(a: list[list[int]], n: int, c: int) -> tuple[int, ...]:
     Row operations act on rows i < n, column operations on columns j < c of
     every row: identity columns right of the block record U, identity rows
     below it record V (U*M*V = S; k rows its first k), none the diagonal."""
-    t = 0
-    while t < min(n, c):
+    t, m = 0, min(n, c)
+    while t < m:
         # Re-pick the smallest nonzero entry of the trailing block as pivot
         # (the first one in row-major order) on every pass; this keeps
-        # coefficient growth under control.
+        # coefficient growth under control.  No entry beats a first 1.
         pi, pj, best = -1, -1, 0
         for i in range(t, n):
             row = a[i]
@@ -152,11 +152,17 @@ def smith_reduce(a: list[list[int]], n: int, c: int) -> tuple[int, ...]:
                 x = abs(row[j])
                 if x and (pi < 0 or x < best):
                     pi, pj, best = i, j, x
+                    if x == 1:
+                        break
+            if best == 1:
+                break
         if pi < 0:
             break
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
         st = a[t]
         if st[t] < 0:
             a[t] = st = [-x for x in st]
@@ -184,14 +190,14 @@ def smith_reduce(a: list[list[int]], n: int, c: int) -> tuple[int, ...]:
         if residue:
             continue
         # Row and column t are clear; enforce divisibility of the rest by
-        # adding the first row that breaks it to row t.
-        for i in range(t + 1, n):
-            if any(a[i][j] % p != 0 for j in range(t + 1, c)):
-                a[t] = [x + y for x, y in zip(st, a[i])]
-                break
+        # adding the first row that breaks it to row t (1 divides them all).
+        rest = range(t + 1, c)
+        bad = p > 1 and next((i for i in range(t + 1, n) if any(a[i][j] % p for j in rest)), 0)
+        if bad:
+            a[t] = [x + y for x, y in zip(st, a[bad])]
         else:
             t += 1
-    return tuple([a[i][i] for i in range(min(n, c))])
+    return tuple([a[i][i] for i in range(m)])
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:

@@ -75,6 +75,11 @@ class LMLetter(_Value):
     def __init__(self, kind: str, address: Bits, sign: int = 1) -> None:
         if type(address) is not tuple:
             raise TypeError(f"LMLetter address must be a tuple of bits, not {type(address).__name__}")
+        if type(sign) is not int:
+            raise TypeError(f"LMLetter sign must be an int, not {type(sign).__name__}")
+        for b in address:
+            if type(b) is not int:
+                raise TypeError(f"LMLetter address bits must be ints, not {type(b).__name__}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "address", address)
         object.__setattr__(self, "sign", sign)

@@ -7,11 +7,16 @@ makes continuity automatic; f(ell) = ell is a constructor check.  The
 canonical form has no breakpoint where the slope does not change, so maps
 are equal iff their fields are.  The knots (x, f(x)) at 0, each breakpoint
 and ell are computed once per map; inversion, support and membership walk
-them from left to right and evaluate nothing.  `compose(f, g)` walks the
-segments of g: the knots of f over one segment pull back through its
-inverse affine map, computed once, and an identity segment copies them.
-Inside a segment the slope of the result changes at every knot, so only
-its first piece can need merging with the piece before it.
+them from left to right and evaluate nothing.  Each map also keeps, from
+the first composition that reads it as g, its segment data: per segment
+the end knot, the slope and the inverse affine map, or the mark of an
+identity segment or a translation.  `compose(f, g)` walks that data, so a
+map reused as g (a word's letters) is tested and inverted once, not on
+every product.  It finds the knots of f over each segment of g by
+bisection, pulls them back through the segment's inverse map, and copies
+them over an identity segment.  Inside a segment the slope of the result
+changes at every knot, so only its first piece can need merging with the
+piece before it.
 
 Only maps built from outside are validated: `PLMap(...)`, `PLMap.make`
 and `parse_plmap` check every field.  `compose` and `inverse` produce a
@@ -22,7 +27,7 @@ without checking them again.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 
 from . import ParseError, _Value, _construct, _parse_part, _parts
@@ -109,6 +114,21 @@ class PLMap(_Value):
             out.append((b, y0 + s * (b - x0)))
         return tuple(out)
 
+    @cached_property
+    def _segments(self) -> tuple[tuple, ...]:
+        """(x1, y1, s, r, c) per segment from (x0, y0) to (x1, y1) with
+        slope s, where y -> y*r + c is the inverse affine map: r is None on
+        a translation (s = 1, c = x0 - y0), and r and c are both None on an
+        identity segment (s = 1, x0 = y0)."""
+        out = []
+        for (x0, y0), (x1, y1), s in zip(self._knots, self._knots[1:], self.slopes):
+            if s == ONE:
+                out.append((x1, y1, s, None, None if x0 == y0 else x0 - y0))
+            else:
+                r = s.inverse()
+                out.append((x1, y1, s, r, x0 - y0 * r))
+        return tuple(out)
+
     def _segment_index(self, x: ExactNumber) -> int:
         if x < ZERO or x > self.ell:
             raise ValueError(f"{x} is outside [0, {self.ell}]")
@@ -154,16 +174,18 @@ def _from_knots(ell, knots, slopes) -> PLMap:
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """The map x -> f(g(x)) and its knots, in one walk over the segments
-    of g and the knots of f.
+    """The map x -> f(g(x)) and its knots, in one walk over the segment
+    data of g and the knots of f.
 
     On the segment from (x0, y0) to (x1, y1) with slope s, the knots
-    (b, f(b)) of f with y0 < b < y1 pull back to (b/s + c, f(b)) for
-    c = x0 - y0/s, and the slope past each is s times the slope of f
-    there.  So 1/s and c are computed once per segment; a translation
-    (s = 1) only adds c, and an identity segment (s = 1, x0 = y0) copies
-    f's knots and slopes as they are.  The image of x1 is f's knot value
-    when y1 is a knot of f, and is read off the last knot of f below y1
+    (b, f(b)) of f with y0 < b < y1 pull back to (b*r + c, f(b)) for
+    r = 1/s and c = x0 - y0/s, and the slope past each is s times the
+    slope of f there.  g's segment data holds r and c, computed once per
+    map; a translation (s = 1) only adds c, and an identity segment
+    (s = 1, x0 = y0) copies f's knots and slopes as they are.  Those
+    knots are found by bisecting f's breakpoints for y1, from the
+    segment of f that holds y0.  The image of x1 is f's knot value when
+    y1 is a knot of f, and is read off the last knot of f below y1
     otherwise.  f's knot at ell closes the walk, so it never runs off it.
 
     Only the first piece of a segment can continue the slope of the piece
@@ -174,31 +196,27 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     """
     if f.ell != g.ell:
         raise ValueError("maps act on different intervals")
-    f_knots, f_slopes = f._knots, f.slopes
+    f_breaks, f_knots, f_slopes = f.breakpoints, f._knots, f.slopes
     knots = [f_knots[0]]
     slopes: list[ExactNumber] = []
     j = 0  # f's segment from f_knots[j] to f_knots[j + 1] contains y0
-    for (x0, y0), (x1, y1), s in zip(g._knots, g._knots[1:], g.slopes):
-        k = j + 1  # f_knots[j + 1 : k] are the knots of f inside (y0, y1)
-        while f_knots[k][0] < y1:
-            k += 1
-        unit = s == ONE
-        first = f_slopes[j] if unit else s * f_slopes[j]
+    for x1, y1, s, r, c in g._segments:
+        # f_knots[j + 1 : k] are the knots of f inside (y0, y1), and
+        # f_knots[k] = (f_breaks[k - 1], ...) is the first at or past y1.
+        k = bisect_left(f_breaks, y1, j) + 1
+        first = f_slopes[j] if r is None else s * f_slopes[j]
         if slopes and first == slopes[-1]:
             knots.pop()
         else:
             slopes.append(first)
         if k > j + 1:
-            if unit and x0 == y0:
+            if c is None:
                 knots += f_knots[j + 1 : k]
                 slopes += f_slopes[j + 1 : k]
-            elif unit:
-                c = x0 - y0
+            elif r is None:
                 knots += [(b + c, fb) for b, fb in f_knots[j + 1 : k]]
                 slopes += f_slopes[j + 1 : k]
             else:
-                r = s.inverse()
-                c = x0 - y0 * r
                 knots += [(b * r + c, fb) for b, fb in f_knots[j + 1 : k]]
                 slopes += [s * t for t in f_slopes[j + 1 : k]]
         b, fb = f_knots[k]

@@ -460,6 +460,33 @@ def test_compose_where_f_breaks_at_the_end_of_a_unit_segment():
     assert hits["identity"] and hits["translation"]
 
 
+def through_knots(xs: list[ExactNumber]) -> PLMap:
+    """The map of [0, 1] with a breakpoint at each x in xs, sending x to
+    (x + x^2)/2: its slope between x and x' is (1 + x + x')/2, so no two
+    consecutive slopes are equal."""
+    half = R(1, 2)
+    xs = [R(0)] + sorted(set(xs)) + [ONE]
+    ys = [(x + x * x) * half for x in xs]
+    slopes = [(y1 - y0) / (x1 - x0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
+    return PLMap(ONE, tuple(xs[1:-1]), tuple(slopes))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_compose_bisects_at_the_ends_of_g_segments(family):
+    # compose finds the knots of f over a segment of g by bisecting f's
+    # breakpoints for its end y1.  Put them exactly on each end, and just
+    # inside the segments on either side of it.
+    eps = R(1, 2**20)
+    for g in alphabet(family):
+        ends = [y for _, y in g._knots[1:-1]]
+        for xs in (ends, [y - eps for y in ends], [y + eps for y in ends]):
+            f = through_knots(xs)
+            for order in ((f, g), (g, f)):
+                c = compose(*order)
+                assert_canonical(c)
+                assert c == ref_compose(*order)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_compose_prunes_as_it_walks(family):
     # Every merge removes a knot of g that is also the pullback of a
@@ -494,6 +521,42 @@ def test_composites_survive_copy_and_pickle(family):
             assert clone._knots == m._knots
             assert_canonical(clone)
             assert compose(clone, m.inverse()).is_identity
+
+
+def assert_segment_data(m: PLMap) -> None:
+    """m's segment data equals that of a fresh map built from its fields,
+    and each entry inverts its segment: y -> y*r + c sends y0 to x0 and y1
+    to x1, a translation adds c, and an identity segment fixes both ends."""
+    assert m._segments == PLMap(m.ell, m.breakpoints, m.slopes)._segments
+    assert len(m._segments) == len(m.slopes)
+    for (x0, y0), end, (x1, y1, s, r, c) in zip(m._knots, m._knots[1:], m._segments):
+        assert (x1, y1) == end
+        if c is None:
+            assert (s, r, x0, x1) == (ONE, None, y0, y1)
+        elif r is None:
+            assert s == ONE and x0 != y0 and (y0 + c, y1 + c) == (x0, x1)
+        else:
+            assert s != ONE and r * s == ONE and (y0 * r + c, y1 * r + c) == (x0, x1)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_segment_data_matches_the_knots(family):
+    a, b, c = FAMILIES[family]
+    maps = [
+        PLMap(a.ell, a.breakpoints, a.slopes),
+        PLMap.make(ONE, (b.breakpoints[0] * R(1, 2),) + b.breakpoints, b.slopes[:1] + b.slopes),
+        parse_plmap(str(c)),
+        a.inverse(),
+        compose(a, b),
+        compose(compose(b, c.inverse()), a),
+        compose(a, a.inverse()),
+        PLMap.identity(1),
+        TAU_MAP,
+    ]
+    if family == "F":
+        maps += [to_pl(multiply(X0, X1)), to_pl(tree_inverse(X1))]
+    for m in maps:
+        assert_segment_data(m)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -541,7 +604,9 @@ def count_arithmetic(monkeypatch) -> list[str]:
 
 
 def seeded_word(seed: int, family: str, length: int) -> list[PLMap]:
-    rng, letters = random.Random(seed), alphabet(family)
+    """A word over fresh copies of the family's letters, so that no letter
+    carries segment data that another test computed."""
+    rng, letters = random.Random(seed), [copy.copy(m) for m in alphabet(family)]
     return [rng.choice(letters) for _ in range(length)]
 
 
@@ -564,12 +629,45 @@ def test_compose_by_the_identity_does_no_arithmetic(monkeypatch):
     assert c == f and c._knots == f._knots
 
 
+def test_compose_reads_a_reused_right_factor_without_testing_it(monkeypatch):
+    # The first composition that reads g as its right factor computes g's
+    # segment data: it inverts g's slopes and compares them, and the two
+    # coordinates of each knot, for slope 1 and the identity.  A second
+    # composition with the same g does neither.
+    f = fold(seeded_word(83, "golden", 12))
+    g = parse_plmap(str(alphabet("golden")[1]))  # objects no other map holds
+    starts = g._knots[:-1]  # (x0, y0) of each segment
+    calls = count_arithmetic(monkeypatch)
+    compared: list[tuple[ExactNumber, ExactNumber]] = []
+
+    def counted_eq(u, v, _eq=ExactNumber.__eq__):
+        compared.append((u, v))
+        return _eq(u, v)
+
+    monkeypatch.setattr(ExactNumber, "__eq__", counted_eq)
+
+    def reads_of_g():
+        slope_tests = [p for p in compared if any(u is s for u in p for s in g.slopes)]
+        knot_tests = [p for p in compared if any({id(u) for u in p} == {id(x), id(y)} for x, y in starts)]
+        inverses = calls.count("inverse")
+        del calls[:], compared[:]
+        return len(slope_tests), len(knot_tests), inverses
+
+    first = compose(f, g)
+    slope_tests, knot_tests, inverses = reads_of_g()
+    assert slope_tests == len(g.slopes) and knot_tests and inverses
+    second = compose(f, g)
+    assert reads_of_g() == (0, 0, 0)
+    assert second._knots == first._knots
+
+
 def test_compose_work_per_segment_is_pinned(monkeypatch):
     # A work count that repeats exactly: folding these seeded 30-letter
-    # words costs this many + - * / calls.  Each segment of a letter
-    # computes its inverse affine map once, a translation only adds, and an
-    # identity segment copies; losing one of these shortcuts raises a count
-    # (pulling each knot back on its own makes 1581 and 1026).
+    # words costs this many + - * / calls.  Each letter computes the
+    # inverse affine map of each segment once, the first time it is the
+    # right factor; a translation only adds, and an identity segment
+    # copies.  Losing one of these shortcuts raises a count: recomputing a
+    # letter's segment data on every composition makes 1033 and 600.
     words = {family: seeded_word(79, family, 30) for family in ("golden", "F")}
     calls = count_arithmetic(monkeypatch)
     counts = {}
@@ -577,7 +675,7 @@ def test_compose_work_per_segment_is_pinned(monkeypatch):
         del calls[:]
         fold(word)
         counts[family] = len(calls)
-    assert counts == {"golden": 979, "F": 485}
+    assert counts == {"golden": 895, "F": 439}
 
 
 def test_golden_compose_reaches_the_sqrt5_sign(monkeypatch):

@@ -72,6 +72,12 @@ REFUSALS = [
         TypeError,
         "BraidWord takes an int strand count and a tuple of int letters",
     ),
+    row(
+        "braids.BraidWord.letter_type",
+        lambda: BraidWord(3, (1.0,)),
+        TypeError,
+        "BraidWord takes an int strand count and a tuple of int letters",
+    ),
     row("braids.BraidWord.mul", lambda: BraidWord(2) * BraidWord(3), ValueError, "strand counts differ"),
     row(
         "braids.braid_equal",
@@ -126,6 +132,18 @@ REFUSALS = [
         lambda: LMLetter("x", [0, 1]),
         TypeError,
         "LMLetter address must be a tuple of bits, not list",
+    ),
+    row(
+        "lodha_moore.LMLetter.sign_type",
+        lambda: LMLetter("x", (), 1.0),
+        TypeError,
+        "LMLetter sign must be an int, not float",
+    ),
+    row(
+        "lodha_moore.LMLetter.bit_type",
+        lambda: LMLetter("x", (0, 1.0)),
+        TypeError,
+        "LMLetter address bits must be ints, not float",
     ),
     row("lodha_moore.LMWord.variant", lambda: LMWord((), "Z"), ValueError, "unknown variant 'Z'"),
     row(
