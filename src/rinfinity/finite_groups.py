@@ -8,12 +8,13 @@ normal subgroup N by a cyclic group C_m (`extension`), given by an
 automorphism alpha of N and an element t of N.  `semidirect_cyclic`,
 `dihedral` and `dicyclic` are such extensions of a cyclic N.
 
-Automorphisms are enumerated by images of a generating sequence, as
-cosets of the stabilisers of its prefixes; each is verified on the whole
-table or is a product of verified ones (see `automorphisms`).
+Automorphisms are enumerated by images of a generating sequence, level
+by level up the chain of stabilisers of its prefixes; each is verified on
+the whole table or is a product of verified ones (see `automorphisms`).
 
 Elements are 0..n-1 with 0 the identity; the table is a flat tuple with
-table[a * n + b] = a * b.
+table[a * n + b] = a * b, and a Latin square (every row and every column
+a permutation of 0..n-1), so that the powers of an element return to 0.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from . import _Value
 
 
 class FiniteGroup(_Value):
+    """A group by its multiplication table, refused unless it is a Latin square (each
+    row and column a permutation of 0..n-1) with identity 0; associativity is unchecked."""
+
     __slots__ = ("name", "table", "__dict__")
 
     def __init__(self, name: str, table: tuple[int, ...]) -> None:
@@ -34,11 +38,14 @@ class FiniteGroup(_Value):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "table", table)
         n = self.order
-        if len(self.table) != n * n:
+        if len(table) != n * n:
             raise ValueError("table size is not a perfect square")
+        elements = set(range(n))
         for a in range(n):
-            if self.table[a * n] != a or self.table[a] != a:
+            if table[a * n] != a or table[a] != a:
                 raise ValueError("element 0 is not an identity")
+            if set(table[a * n : a * n + n]) != elements or set(table[a::n]) != elements:
+                raise ValueError("a row or column of the table is not a permutation of 0..n-1")
 
     @cached_property
     def order(self) -> int:
@@ -49,14 +56,8 @@ class FiniteGroup(_Value):
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
-        n = self.order
-        inv = [0] * n
-        for a in range(n):
-            for b in range(n):
-                if self.mul(a, b) == 0:
-                    inv[a] = b
-                    break
-        return tuple(inv)
+        n, table = self.order, self.table
+        return tuple([table[a * n : a * n + n].index(0) for a in range(n)])
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -106,41 +107,32 @@ class FiniteGroup(_Value):
     @cached_property
     def _automorphism_plan(self):
         """What automorphisms() reads from the table, built once per group:
-        the word tree in topological order (parents before children) as
-        (element, parent, position of its last generator) steps; the size
-        of <g_0 .. g_i> for each i; the candidate images of each generator
-        (the elements of its order); and the table's columns, where
-        columns[c][x] is x * c."""
-        n, gens = self.order, self.generating_sequence
-        tree, orders = self.word_tree, self.element_orders
-        gen_pos = {a: i for i, a in enumerate(gens)}
-        steps: list[tuple[int, int, int]] = []
-        seen = {0}
-        while len(seen) < n:
-            for e in range(1, n):
-                parent, gen = tree[e]
-                if e not in seen and parent in seen:
-                    steps.append((e, parent, gen_pos[gen]))
-                    seen.add(e)
+        the word tree; the size of <g_0 .. g_i> for each i; the candidate
+        images of each generator (the elements of its order); and the
+        table's columns, where columns[c][x] is x * c."""
+        n, gens, orders = self.order, self.generating_sequence, self.element_orders
         sizes = [len(self.subgroup_closure(gens[: i + 1])) for i in range(len(gens))]
         candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in gens]
         columns = [self.table[c::n] for c in range(n)]
-        return steps, sizes, candidates, columns
+        return self.word_tree, sizes, candidates, columns
 
     @cached_property
-    def word_tree(self) -> tuple[tuple[int, int], ...]:
-        """BFS expressions: element e != 0 satisfies e = parent * generator."""
+    def word_tree(self) -> tuple[tuple[int, int, int], ...]:
+        """The breadth-first word tree of the generating sequence: one step
+        (e, parent, i) with e = parent * g_i for each element e != 0, in
+        queue order, so each parent is 0 or the element of an earlier step."""
         gens = self.generating_sequence
-        parent: dict[int, tuple[int, int]] = {0: (-1, -1)}
+        steps: list[tuple[int, int, int]] = []
+        seen = {0}
         queue = [0]
-        while queue:
-            x = queue.pop(0)
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in parent:
-                    parent[y] = (x, g)
+        for x in queue:  # the loop reads the elements appended below
+            for i, a in enumerate(gens):
+                y = self.mul(x, a)
+                if y not in seen:
+                    seen.add(y)
                     queue.append(y)
-        return tuple(parent[e] for e in range(self.order))
+                    steps.append((y, x, i))
+        return tuple(steps)
 
 
 def from_elements(name: str, identity, elements: list, mul) -> FiniteGroup:
@@ -266,16 +258,16 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     """All automorphisms, as permutations of 0..n-1, in lexicographic order
     of the images of the generating sequence g_0 .. g_{k-1}.
 
-    Aut(G) is a union of cosets of stabilisers.  Let S_i be the
-    automorphisms that fix g_0 .. g_{i-1}, so that S_0 = Aut(G).  S_i is
-    the union of the cosets a_b . S_{i+1}, one for each image b of g_i under
-    S_i, where a_b is any element of S_i that sends g_i to b.
-
-    S_{k-1} is found by verifying every candidate image of g_{k-1}.  For
-    i < k - 1, S_{i+1} permutes the images of g_i, and one b per orbit is
-    tried: a depth-first search completes g_j -> g_j (j < i), g_i -> b and
-    stops at the first verified assignment.  If it finds a_b, then s . a_b
-    serves s(b) for every s in S_{i+1}; if not, no s(b) is an image.
+    Aut(G) is the top of a chain of stabilisers.  Let S_i be the
+    automorphisms that fix g_0 .. g_{i-1}, so that S_0 = Aut(G) and
+    S_k = {1}.  S_i is the union of the cosets a_b . S_{i+1}, one for each
+    image b of g_i under S_i, where a_b is any element of S_i that sends
+    g_i to b.  The levels are built from S_k up to S_0, each by the same
+    procedure: S_{i+1} permutes the images of g_i, and one b per orbit is
+    tried.  A depth-first search completes g_j -> g_j (j < i), g_i -> b
+    and stops at the first verified assignment.  If it finds a_b, then
+    s . a_b serves s(b) for every s in S_{i+1}; if not, no s(b) is an
+    image.
 
     The search picks later images one at a time.  A candidate image of g_j
     is skipped when its order differs from that of g_j, when it lies in
@@ -287,13 +279,11 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
 
     So one representative per coset is verified on the whole table, or is
     a product of verified ones, and every other automorphism is a product
-    of verified ones.  Each coset of S_1 is sorted on its own, in order of
-    b."""
+    of verified ones.  Each level lists its cosets in order of b and sorts
+    each coset by its generator images."""
     n = g.order
     gens = g.generating_sequence
     k = len(gens)
-    if k == 0:
-        return [(0,)]
     steps, sizes, candidates, columns = g._automorphism_plan
     assignment = list(gens)
     images = [0] * n
@@ -302,13 +292,10 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
 
     def first_extension(i: int) -> tuple[int, ...] | None:
         """The first verified automorphism whose generator images begin
-        with assignment[: i + 1], or None if there is none (i < k - 1)."""
-        spans[i + 1] = g.subgroup_closure(assignment[: i + 1])
-        if len(spans[i + 1]) != sizes[i]:
-            return None
-        stack = [iter(candidates[i + 1])]
+        with assignment[: i + 1], or None if there is none."""
+        stack = [iter([assignment[i]])]
         while stack:
-            j = i + len(stack)
+            j = i + len(stack) - 1
             span = spans[j]
             for b in stack[-1]:
                 if b in span:
@@ -327,24 +314,14 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
                 stack.pop()
         return None
 
-    # S_{k-1}: every candidate image of the last generator is verified
-    stabiliser: list[tuple[int, ...]] = []
-    span = g.subgroup_closure(gens[:-1])
-    for b in candidates[-1]:
-        if b not in span:
-            assignment[-1] = b
-            if _extend_checked(columns, n, gens, steps, assignment, images):
-                stabiliser.append(tuple(images))
-    if k == 1:
-        return stabiliser
-    assignment[-1] = gens[-1]
     identity = tuple(range(n))
-    for i in reversed(range(k - 1)):
+    stabiliser = [identity]
+    for i in reversed(range(k)):
         # reps[b] fixes g_0 .. g_{i-1} and sends g_i to b; done holds the
         # images of g_i already settled, either way
         reps = {gens[i]: identity}
-        done = g.subgroup_closure(gens[:i])
-        done.add(gens[i])
+        spans[i] = g.subgroup_closure(gens[:i])
+        done = spans[i] | {gens[i]}
         for b in candidates[i]:
             if b in done:
                 continue
@@ -360,15 +337,13 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
         assignment[i] = gens[i]
         # itemgetter(*s)(a) is the product a . s (n > 1 here, so a tuple)
         products_with = [itemgetter(*s) for s in stabiliser]
-        if i:
-            stabiliser = [times(rep) for rep in reps.values() for times in products_with]
-    by_images = itemgetter(*gens)
-    out: list[tuple[int, ...]] = []
-    for b in sorted(reps):
-        coset = [times(reps[b]) for times in products_with]
-        coset.sort(key=by_images)
-        out += coset
-    return out
+        by_images = itemgetter(*gens)
+        stabiliser = []
+        for b in sorted(reps):
+            coset = [times(reps[b]) for times in products_with]
+            coset.sort(key=by_images)
+            stabiliser += coset
+    return stabiliser
 
 
 def _extend_checked(columns, n, gens, steps, assignment, images) -> bool:

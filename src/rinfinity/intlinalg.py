@@ -320,10 +320,8 @@ class AbelianAuto(_Value):
         n, c = group.n, group.n + group.relators.ncols
         if not matrix.nrows == matrix.ncols == n:
             raise ValueError("matrix must be n x n")
-        u, d = group.decomposition.u.rows, group.decomposition.diagonal
-        for col in zip(*group.relators.rows):
-            image = [sum(map(mul, row, col)) for row in matrix.rows]
-            if _quotients([sum(map(mul, row, image)) for row in u], d) is None:
+        for col in group.relators.columns():
+            if not group.contains_in_relator_span(matrix.apply(col)):
                 raise ValueError("matrix does not stabilize the relator lattice")
         # Bijective iff onto (f.g. abelian groups are Hopfian), iff [M | R] has unit invariant factors.
         rows = [m + r for m, r in zip(matrix.rows, group.relators.rows)]

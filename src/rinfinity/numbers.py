@@ -334,8 +334,13 @@ class AdditiveGroup(_Value):
         object.__setattr__(self, "n", n)
         if self.kind not in ("zinv", "ztau", "rational"):
             raise ValueError(f"unknown additive group kind {self.kind!r}")
-        if self.kind == "zinv" and (self.n is None or self.n < 2):
-            raise ValueError("Z[1/n] requires n >= 2")
+        if self.kind == "zinv":
+            if type(n) is not int:
+                raise TypeError(f"Z[1/n] requires an int n, not {type(n).__name__}")
+            if n < 2:
+                raise ValueError("Z[1/n] requires n >= 2")
+        elif n is not None:
+            raise ValueError(f"{self} takes no n")
 
     @staticmethod
     def z_inv(n: int) -> AdditiveGroup:

@@ -87,6 +87,20 @@ def test_extension_refuses_non_group_data():
         extension(dihedral(3), 2, tuple(range(6)), t=1)
 
 
+def test_word_tree_is_a_breadth_first_tree_of_the_generators():
+    for g in small_groups_up_to_16():
+        gens = g.generating_sequence
+        reached = [0]
+        length = {0: 0}
+        for e, parent, i in g.word_tree:
+            assert parent in length, (g.name, e)  # 0 or an earlier step
+            assert e == g.mul(parent, gens[i]), (g.name, e)
+            length[e] = length[parent] + 1
+            assert length[e] >= length[reached[-1]], (g.name, e)
+            reached.append(e)
+        assert sorted(reached) == list(range(g.order)), g.name
+
+
 def test_q8_has_unique_involution():
     q8 = dicyclic(2)
     assert sum(1 for o in q8.element_orders if o == 2) == 1
@@ -111,18 +125,13 @@ def exhaustive_automorphisms(g):
     n = g.order
     gens = g.generating_sequence
     orders = g.element_orders
-    tree = g.word_tree
-    topo = [0]
-    while len(topo) < n:
-        topo += [e for e in range(n) if e not in topo and tree[e][0] in topo]
     candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in gens]
     out = []
     for assignment in itertools.product(*candidates):
         image_of_gen = dict(zip(gens, assignment))
         images = [0] * n
-        for e in topo[1:]:
-            parent, gen = tree[e]
-            images[e] = g.mul(images[parent], image_of_gen[gen])
+        for e, parent, i in g.word_tree:
+            images[e] = g.mul(images[parent], assignment[i])
         if len(set(images)) == n and all(
             images[g.mul(x, a)] == g.mul(images[x], b)
             for x in range(n)
@@ -142,16 +151,7 @@ def ref_automorphisms(g):
     if k == 0:
         return [(0,)]
     orders = g.element_orders
-    tree = g.word_tree
-    gen_pos = {a: i for i, a in enumerate(gens)}
-    steps = []
-    seen = {0}
-    while len(seen) < n:
-        for e in range(1, n):
-            parent, gen = tree[e]
-            if e not in seen and parent in seen:
-                steps.append((e, parent, gen_pos[gen]))
-                seen.add(e)
+    steps = g.word_tree
     sizes = [len(g.subgroup_closure(gens[: i + 1])) for i in range(k)]
     candidates = [[b for b in range(n) if orders[b] == orders[a]] for a in gens]
     columns = [g.table[c::n] for c in range(n)]
@@ -205,9 +205,9 @@ def test_automorphisms_match_reference_search_as_lists():
 
 
 def test_verified_search_leaves_pinned(monkeypatch):
-    # one verification per element of S_{k-1} and per search leaf tried for
-    # a coset representative; the reference search verifies 22265 leaves in
-    # all and 20160 on C2^4
+    # one verification per search leaf tried for a coset representative,
+    # the identity of S_k included in no level; the reference search
+    # verifies 22265 leaves in all and 20160 on C2^4
     leaves = Counter()
     name = None
 
@@ -219,8 +219,8 @@ def test_verified_search_leaves_pinned(monkeypatch):
     for g in small_groups_up_to_16():
         name = g.name
         automorphisms(g)
-    assert leaves["C2xC2xC2xC2"] == 15
-    assert sum(leaves.values()) == 370
+    assert leaves["C2xC2xC2xC2"] == 14
+    assert sum(leaves.values()) == 329
 
 
 def test_automorphisms_leave_no_cyclic_garbage():

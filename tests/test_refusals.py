@@ -99,6 +99,26 @@ REFUSALS = [
         "element 0 is not an identity",
     ),
     row(
+        "finite_groups.FiniteGroup.latin_row",
+        # element_orders looped forever on this table: 1 * 1 never reaches 0
+        lambda: finite_groups.FiniteGroup("x", (0, 1, 1, 1)),
+        ValueError,
+        "a row or column of the table is not a permutation of 0..n-1",
+    ),
+    row(
+        "finite_groups.FiniteGroup.latin_range",
+        lambda: finite_groups.FiniteGroup("x", (0, 1, 1, 7)),
+        ValueError,
+        "a row or column of the table is not a permutation of 0..n-1",
+    ),
+    row(
+        "finite_groups.FiniteGroup.latin_column",
+        # every row is a permutation, column 1 is (1, 2, 1)
+        lambda: finite_groups.FiniteGroup("x", (0, 1, 2, 1, 2, 0, 2, 1, 0)),
+        ValueError,
+        "a row or column of the table is not a permutation of 0..n-1",
+    ),
+    row(
         "finite_groups.FiniteGroup.table_type",
         lambda: finite_groups.FiniteGroup("x", [0]),
         TypeError,
@@ -174,6 +194,14 @@ REFUSALS = [
         "unknown additive group kind 'foo'",
     ),
     row("numbers.AdditiveGroup.n", lambda: AdditiveGroup("zinv", 1), ValueError, "Z[1/n] requires n >= 2"),
+    row(
+        "numbers.AdditiveGroup.n_type",
+        lambda: AdditiveGroup.z_inv(2.5),
+        TypeError,
+        "Z[1/n] requires an int n, not float",
+    ),
+    row("numbers.AdditiveGroup.ztau_n", lambda: AdditiveGroup("ztau", 5), ValueError, "Z[t] takes no n"),
+    row("numbers.AdditiveGroup.rational_n", lambda: AdditiveGroup("rational", 5), ValueError, "Q takes no n"),
     row(
         "numbers.SlopeGroup.empty",
         lambda: SlopeGroup(()),
