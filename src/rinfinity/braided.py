@@ -43,10 +43,6 @@ class BraidedDiagram(_Value):
     def n_strands(self) -> int:
         return self.braid.n
 
-    @property
-    def is_pure(self) -> bool:
-        return self.braid.is_pure
-
     def __str__(self) -> str:
         return f"{format_tree(self.minus)} | {format_braid(self.braid)} | {format_tree(self.plus)}"
 
@@ -56,7 +52,7 @@ IDENTITY = BraidedDiagram(LEAF, BraidWord(1), LEAF)
 
 def from_treepair(d: TreePair) -> BraidedDiagram:
     """Embed an element of F as a trivial-braid diagram."""
-    return BraidedDiagram(d.minus, BraidWord.identity(d.minus.leaves), d.plus)
+    return BraidedDiagram(d.minus, BraidWord(d.minus.leaves), d.plus)
 
 
 def inverse(d: BraidedDiagram) -> BraidedDiagram:
@@ -82,7 +78,7 @@ def multiply(d1: BraidedDiagram, d2: BraidedDiagram) -> BraidedDiagram:
 def is_identity(d: BraidedDiagram) -> bool:
     """Expansions and reductions preserve (minus == plus and braid trivial),
     and that property characterizes the class of the identity diagram."""
-    return d.minus == d.plus and braid_equal(d.braid, BraidWord.identity(d.n_strands))
+    return d.minus == d.plus and braid_equal(d.braid, BraidWord(d.n_strands))
 
 
 def equal(d1: BraidedDiagram, d2: BraidedDiagram) -> bool:

@@ -7,9 +7,9 @@ position to end position.
 
 Equality is decided by free reduction plus handle reduction (Dehornoy,
 "A fast method for comparing braids", Adv. Math. 125 (1997)), after a
-pairwise-crossing-count fast path.  The crossing counts also
-decide the permutation (the parity of a pair's count says whether those
-two strands swapped) and the exponent sum (the sum of the counts), so
+pairwise-crossing-count fast path.  The crossing counts also decide the
+permutation (the parity of a pair's count says whether those two strands
+swapped) and the exponent sum (the sum of the counts, a test oracle), so
 neither needs a screen of its own.  A handle is a factor
 sigma_i^e v sigma_i^{-e} where v uses neither index i nor i-1; removing
 it rewrites each sigma_{i+1}^d in v as sigma_{i+1}^{-e} sigma_i^d
@@ -29,6 +29,10 @@ import re
 from . import ParseError, _Value
 
 
+# handle_reduce raises after CAP_BASE + CAP_PER_PAIR * L^2 reductions of L letters.
+CAP_BASE, CAP_PER_PAIR = 4000, 400
+
+
 class HandleReductionCap(RuntimeError):
     """The handle-reduction iteration cap was hit; result unknown."""
 
@@ -46,10 +50,6 @@ class BraidWord(_Value):
         if letters and (0 in letters or min(letters) <= -n or max(letters) >= n):
             bad = next(l for l in letters if l == 0 or abs(l) >= n)
             raise ValueError(f"letter {bad} out of range for {n} strands")
-
-    @staticmethod
-    def identity(n: int) -> BraidWord:
-        return BraidWord(n)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
@@ -73,9 +73,6 @@ class BraidWord(_Value):
     @property
     def is_pure(self) -> bool:
         return self.permutation() == tuple(range(1, self.n + 1))
-
-    def exponent_sum(self) -> int:
-        return sum(1 if l > 0 else -1 for l in self.letters)
 
     def crossing_counts(self) -> dict[tuple[int, int], int]:
         """Signed crossing count between each pair of strands (by start
@@ -118,7 +115,7 @@ def handle_reduce(word: BraidWord) -> BraidWord:
     """Fully handle-reduce the word; the result is empty iff the braid is
     trivial."""
     todo = _push_reduced([], reversed(word.letters))  # the next letter on top
-    cap = 4000 + 400 * len(todo) * len(todo)
+    cap = CAP_BASE + CAP_PER_PAIR * len(todo) * len(todo)
     steps = 0
     out: list[int] = []
     where: list[list[int]] = [[] for _ in range(word.n)]  # positions in out, by index

@@ -35,6 +35,8 @@ class FiniteGroup(_Value):
     def __init__(self, name: str, table: tuple[int, ...]) -> None:
         if type(table) is not tuple:
             raise TypeError(f"FiniteGroup table must be a tuple, not {type(table).__name__}")
+        if kinds := set(map(type, table)) - {int}:
+            raise TypeError(f"FiniteGroup table entries must be ints, not {min(k.__name__ for k in kinds)}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "table", table)
         n = self.order

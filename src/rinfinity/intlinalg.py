@@ -4,9 +4,10 @@ automorphisms.
 
 Each Smith reduction is one `smith_reduce` of plain row lists, given only
 the identity block its caller reads: columns record U, rows record V
-(U*M*V = S), neither gives the diagonal alone.  A group Z^n/R decomposes
-its relators once; membership in span(R) reads U and the diagonal.  An
-automorphism M makes 4 reductions: [M | R] with neither (surjectivity),
+(U*M*V = S), neither gives the diagonal alone.  A group Z^n/R reduces
+its relators once and builds U alone: its structure reads the diagonal,
+membership in span(R) reads U and the diagonal.  An automorphism M
+makes 4 reductions: [M | R] with neither (surjectivity),
 [M - I | R] with V's first n rows (R(phi) reads the diagonal, Fix(phi)
 the kernel), the fixed lattice with U (the relators' coordinates in it),
 and those coordinates with neither (Fix(phi)).  Matrices are int tuples.
@@ -223,11 +224,6 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     return snf.v * snf.u
 
 
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : M x = 0}."""
-    return smith_normal_form(m).kernel()
-
-
 class GroupStructure(_Value):
     """Invariant-factor description of a finitely generated abelian group."""
 
@@ -295,15 +291,19 @@ class FGAbelianGroup(_Value):
         return FGAbelianGroup(n, IntMatrix.from_columns(cols)) if cols else FGAbelianGroup.free(n)
 
     @cached_property
-    def decomposition(self) -> SmithDecomposition:
-        """Smith decomposition of the relator matrix."""
-        return smith_normal_form(self.relators)
+    def _reduced(self) -> tuple[IntMatrix, tuple[int, ...]]:
+        """U and the diagonal of the relator matrix R (U*R*V = S, V not built)."""
+        n, c = self.n, self.relators.ncols
+        a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.relators.rows)]
+        diagonal = smith_reduce(a, n, c)
+        return _matrix(tuple([tuple(r[c:]) for r in a])), diagonal
 
     def structure(self) -> GroupStructure:
-        return _structure(self.n, self.decomposition.diagonal)
+        return _structure(self.n, self._reduced[1])
 
     def contains_in_relator_span(self, vec: tuple[int, ...]) -> bool:
-        return _quotients(self.decomposition.u.apply(vec), self.decomposition.diagonal) is not None
+        u, diagonal = self._reduced
+        return _quotients(u.apply(vec), diagonal) is not None
 
 
 class AbelianAuto(_Value):

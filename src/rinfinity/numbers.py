@@ -12,7 +12,8 @@ the fields, build each result field with a single Fraction and skip the
 field check of the public constructor; signs and comparisons reduce to
 the sign of an integer combination u + v*sqrt5, decided by integer
 squaring without building a difference.  No floating point is used
-anywhere.
+anywhere.  Exponents are read one way, in binary (`_binary_exponent`):
+of a prime in an integer, and of a single slope generator in a slope.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from operator import index
+from operator import floordiv, ge, index, truediv
 
 from . import ParseError, _Value, _construct, _parse_part, _parts
 
@@ -122,10 +123,6 @@ class ExactNumber(_Value):
     @staticmethod
     def rational(num, den=1) -> ExactNumber:
         return ExactNumber(Fraction(num, den))
-
-    @staticmethod
-    def quadratic(a, b) -> ExactNumber:
-        return ExactNumber(Fraction(a), Fraction(b))
 
     @property
     def is_rational(self) -> bool:
@@ -270,7 +267,7 @@ class ExactNumber(_Value):
 
 ZERO = ExactNumber.rational(0)
 ONE = ExactNumber.rational(1)
-TAU = ExactNumber.quadratic(0, 1)
+TAU = ExactNumber(0, 1)
 
 
 def _format_fraction(q: Fraction) -> str:
@@ -392,30 +389,36 @@ def _rational_exponents(q: Fraction, primes: list[int]) -> list[int] | None:
     out = []
     num, den = q.numerator, q.denominator
     for p in primes:
-        num, e_num = _strip(num, p)
-        den, e_den = _strip(den, p)
+        num, e_num = _binary_exponent(num, p, _divides, floordiv)
+        den, e_den = _binary_exponent(den, p, _divides, floordiv)
         out.append(e_num - e_den)
     if num != 1 or den != 1:
         return None
     return out
 
 
-def _strip(n: int, p: int) -> tuple[int, int]:
-    """(n / p^e, e) for the largest e with p^e dividing n.  Dividing by p,
-    p^2, p^4, ... and then by the same powers in reverse reads e in binary,
-    so the number of divisions grows with log e, not with e."""
-    powers: list[int] = []
-    q = p
-    while n % q == 0:
-        n //= q
+def _divides(n: int, q: int) -> bool:
+    return n % q == 0
+
+
+def _binary_exponent(y, base, fits, divide):
+    """(y / base^e, e) for the largest e such that base^e goes into y, where
+    fits(y, q) says q goes into y: q divides the integer y (`divide` is //),
+    or y >= q for a slope y >= 1 over base > 1 (`divide` is /).  Dividing
+    by base, base^2, base^4, ... and then by the same powers in reverse
+    reads e in binary, in a number of divisions that grows with log e."""
+    powers = []
+    q = base
+    while fits(y, q):
+        y = divide(y, q)
         powers.append(q)
-        q *= q
+        q = q * q
     e = (1 << len(powers)) - 1
     for k in reversed(range(len(powers))):
-        if n % powers[k] == 0:
-            n //= powers[k]
+        if fits(y, powers[k]):
+            y = divide(y, powers[k])
             e += 1 << k
-    return n, e
+    return y, e
 
 
 class SlopeGroup(_Value):
@@ -479,29 +482,6 @@ class SlopeGroup(_Value):
             raise NonMember(f"{x} is not in {self}")
         return sol
 
-    def _factor_single(self, x: ExactNumber) -> tuple[int, ...]:
-        g = self.generators[0]
-        g_up, x_up = g > ONE, x >= ONE
-        base = g if g_up else g.inverse()
-        # With base > 1 and y = x or 1/x >= 1, read the exponent of base in
-        # y in binary, as _strip does for a prime: divide by base, base^2,
-        # base^4, ... and then by the same powers in reverse.
-        y = x if x_up else x.inverse()
-        powers: list[ExactNumber] = []
-        q = base
-        while y >= q:
-            y = y / q
-            powers.append(q)
-            q = q * q
-        e = (1 << len(powers)) - 1
-        for k in reversed(range(len(powers))):
-            if y >= powers[k]:
-                y = y / powers[k]
-                e += 1 << k
-        if y != ONE:
-            raise NonMember(f"{x} is not a power of {g}")
-        return (e if x_up == g_up else -e,)
-
     def factor(self, x: ExactNumber) -> tuple[int, ...]:
         """Exponent vector e with x = prod(g_i ** e_i); NonMember otherwise."""
         if x.sign() <= 0:
@@ -511,7 +491,13 @@ class SlopeGroup(_Value):
                 raise NonMember(f"{x} is irrational, {self} is not")
             return self._factor_rational(x)
         if len(self.generators) == 1:
-            return self._factor_single(x)
+            g = self.generators[0]
+            g_up, x_up = g > ONE, x >= ONE
+            base = g if g_up else g.inverse()
+            y, e = _binary_exponent(x if x_up else x.inverse(), base, ge, truediv)
+            if y != ONE:
+                raise NonMember(f"{x} is not a power of {g}")
+            return (e if x_up == g_up else -e,)
         raise ValueError(
             "factoring over mixed quadratic multi-generator groups is not supported"
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import _Value
-from .intlinalg import IntMatrix, inverse_unimodular, kernel_basis
+from .intlinalg import IntMatrix, inverse_unimodular, smith_normal_form
 from .intlinalg import reidemeister_number_abelian  # noqa: F401  (read by perfbench/workloads.py)
 
 
@@ -97,7 +97,7 @@ def fixed_vector_certificate(chars: CharacterData, induced: IntMatrix) -> Pipeli
     summed = tuple(sum(v[i] for v in rays) for i in range(len(rays[0])))
     if transpose.apply(summed) != summed:
         return PipelineResult(False, "summed character is not invariant", None, summed)
-    kernel = kernel_basis(induced - IntMatrix.identity(n))
+    kernel = smith_normal_form(induced - IntMatrix.identity(n)).kernel()
     if not kernel:
         # a nonzero invariant sum is fixed by the transpose, and then the
         # matrix fixes a nonzero vector too: so here the characters sum to 0

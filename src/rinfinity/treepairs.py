@@ -11,16 +11,15 @@ A leaf at depth d is the dyadic cell (d, i), the interval [i/2^d,
 (i+1)/2^d].  A tree's caret mask has bit i set when leaves i+1 and i+2
 form one caret, so a pair whose two masks share no bit is reduced.
 
-The PL realization (`leaf_intervals`, `to_pl`, `from_pl`) imports
-`fractions`, `numbers` and `plmaps` inside the functions that use them:
-a caller that needs only the trees and their characters, such as the
-Reidemeister workload with X0, X1 and `f_characters`, does not load (and
-in a fresh interpreter compile) the PL layer.
+The PL realization here is `leaf_intervals` and `to_pl`, which import
+`fractions`, `numbers` and `plmaps` inside their bodies: a caller that
+needs only the trees and their characters, such as the Reidemeister
+workload with X0, X1 and `f_characters`, does not load (and in a fresh
+interpreter compile) the PL layer.  Its inverse on the dyadic PL group,
+`from_pl`, is a test oracle.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from . import ParseError, _Value, _construct, _parse_part, _parts
 
@@ -354,14 +353,6 @@ def f_characters(d: TreePair) -> tuple[int, int]:
     )
 
 
-@cache
-def _dyadic_spec() -> PLGroupSpec:
-    from .numbers import ONE, AdditiveGroup, SlopeGroup
-    from .plmaps import PLGroupSpec
-
-    return PLGroupSpec(ONE, AdditiveGroup.z_inv(2), SlopeGroup.of(2))
-
-
 def to_pl(d: TreePair) -> PLMap:
     """The PL map carrying the plus-tree intervals onto the minus-tree ones."""
     from .numbers import ExactNumber
@@ -377,12 +368,6 @@ def to_pl(d: TreePair) -> PLMap:
     return PLMap.make(ExactNumber.of(1), breaks, slopes)
 
 
-def _floor_log2(q: Fraction) -> int:
-    """floor(log2 q) for a dyadic rational q > 0: its denominator is 2^j,
-    so floor(log2 q) = floor(log2 p) - j for its numerator p."""
-    return q.numerator.bit_length() - q.denominator.bit_length()
-
-
 def _tree_from_depths(depths: list[int]) -> Tree:
     """The tree whose leaves, left to right, lie at the given depths: one
     stack of (depth, subtree) that merges equal-depth neighbours, which are
@@ -396,36 +381,3 @@ def _tree_from_depths(depths: list[int]) -> Tree:
         stack.append((k, t))
     assert len(stack) == 1, "leaf depths do not form a binary subdivision"
     return stack[0][1]
-
-
-def from_pl(f: PLMap) -> TreePair:
-    """Inverse of to_pl on members of the dyadic group; raises on others.
-
-    One walk over the affine pieces: from x (with image y) on a piece of
-    slope s ending at x1, the next leaf has the largest width w = 2^-k with
-    x and y/s multiples of w and x + w <= x1, and its image has width s*w.
-    (w <= 1 and s*w <= 1 follow.)  Both trees are built from their leaf
-    depths, then reduced."""
-    from fractions import Fraction
-
-    from .plmaps import is_member
-
-    report = is_member(f, _dyadic_spec())
-    if not report.ok:
-        raise ValueError("map is not in the dyadic PL group: " + "; ".join(report.violations))
-    plus: list[int] = []
-    minus: list[int] = []
-    x = y = Fraction(0)
-    for x1, s in zip(f.breakpoints + (f.ell,), f.slopes):
-        x1, e = x1.a, _floor_log2(s.a)
-        while x < x1:
-            k = max(
-                x.denominator.bit_length() - 1,
-                e + y.denominator.bit_length() - 1,
-                -_floor_log2(x1 - x),
-            )
-            plus.append(k)
-            minus.append(k - e)
-            x += Fraction(1, 1 << k)
-            y += Fraction(1, 1 << (k - e))
-    return reduce(TreePair(_tree_from_depths(minus), _tree_from_depths(plus)))

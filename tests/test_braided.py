@@ -25,7 +25,7 @@ from oracles import expansion, random_tree
 
 
 def random_pure_braid(rng, n, length=3):
-    word = BraidWord.identity(n)
+    word = BraidWord(n)
     if n < 2:
         return word
     for _ in range(length):
@@ -117,7 +117,7 @@ def test_expansion_of_identity():
     e = expansion(IDENTITY, 1)
     assert e.minus == caret(LEAF, LEAF)
     assert e.plus == caret(LEAF, LEAF)
-    assert e.braid == BraidWord.identity(2)
+    assert e.braid == BraidWord(2)
     assert is_identity(e)
 
 
@@ -143,7 +143,7 @@ def test_multiply_matches_treepair_oracle():
         d1 = tp.reduce(TreePair(random_tree(rng, n1), random_tree(rng, n1)))
         d2 = tp.reduce(TreePair(random_tree(rng, n2), random_tree(rng, n2)))
         product = multiply(from_treepair(d1), from_treepair(d2))
-        assert braid_equal(product.braid, BraidWord.identity(product.n_strands))
+        assert braid_equal(product.braid, BraidWord(product.n_strands))
         expected = tp.multiply(d1, d2)
         assert equal(product, from_treepair(expected))
 
@@ -152,7 +152,7 @@ def test_generators_are_pure():
     gens = standard_generators()
     assert len(gens) == 10
     for name, d in gens.items():
-        assert d.is_pure, name
+        assert d.braid.is_pure, name
 
 
 def test_alpha12_linking():
@@ -215,7 +215,7 @@ def test_phi_quotient_rank_two():
 def test_multiply_with_braided_generator_characters():
     gens = standard_generators()
     product = multiply(gens["x0"], gens["alpha12"])
-    assert product.is_pure
+    assert product.braid.is_pure
     assert f_characters(product) == f_characters(gens["x0"])
 
 

@@ -320,6 +320,33 @@ def test_twisted_classes_matches_naive():
             assert sum(len(c) for c in classes) == n
 
 
+def conjugacy_class_index(g):
+    """The index of each element's conjugacy class, read off the table."""
+    index = [-1] * g.order
+    k = 0
+    for a in range(g.order):
+        if index[a] < 0:
+            for h in range(g.order):
+                index[g.mul(g.mul(h, a), g.inverses[h])] = k
+            k += 1
+    return index
+
+
+def test_twisted_classes_count_the_classes_phi_fixes():
+    # Twisted Burnside-Frobenius for a finite group: R(phi) is the number
+    # of conjugacy classes C with phi(C) = C.  phi permutes the classes,
+    # so phi(C) = C iff phi sends one element of C into C.
+    checked = 0
+    for g in small_groups_up_to_16():
+        index = conjugacy_class_index(g)
+        reps = [index.index(k) for k in range(max(index) + 1)]
+        for phi in automorphisms(g):
+            fixed = sum(1 for a in reps if index[phi[a]] == index[a])
+            assert twisted_classes(g, phi)[0] == fixed, (g.name, phi)
+            checked += 1
+    assert checked == 21398
+
+
 def test_fixed_points_vs_reidemeister_folklore():
     # |Fix| = 1 iff R = 1, spot-checked on one nonabelian example here.
     g = dihedral(3)

@@ -143,6 +143,9 @@ def test_membership():
     assert not rep.ok
     assert any("singularity" in v for v in rep.violations)
     assert is_member(TAU_MAP, FTAU_SPEC).ok
+    other = is_member(PLMap.identity(2), PLGroupSpec(ONE, AdditiveGroup.z_inv(2), SlopeGroup.of(2)))
+    assert not other.ok
+    assert other.violations == ("domain [0,2] does not match [0,1]",)
 
 
 def sampled_closure(a_spec, p_spec):

@@ -3,7 +3,8 @@ per constructor type check) that no other test reaches.  Each row makes
 the failing call and matches the exception's exact type and message.
 
 `braids.HandleReductionCap` has no row: it guards handle reduction, which
-terminates, so no input reaches it.
+terminates, so only a cap lowered to 0 reaches it
+(`test_handle_reduction_cap_raises`).
 """
 
 import re
@@ -119,6 +120,26 @@ REFUSALS = [
         "a row or column of the table is not a permutation of 0..n-1",
     ),
     row(
+        "finite_groups.FiniteGroup.latin_one_row",
+        # every column is a permutation, row 1 is (1, 0, 0)
+        lambda: finite_groups.FiniteGroup("x", (0, 1, 2, 1, 0, 0, 2, 2, 1)),
+        ValueError,
+        "a row or column of the table is not a permutation of 0..n-1",
+    ),
+    row(
+        "finite_groups.FiniteGroup.entry_float",
+        # 1.0 == 1, so this table passed the Latin-square check
+        lambda: finite_groups.FiniteGroup("x", (0, 1.0, 1.0, 0)),
+        TypeError,
+        "FiniteGroup table entries must be ints, not float",
+    ),
+    row(
+        "finite_groups.FiniteGroup.entry_bool",
+        lambda: finite_groups.FiniteGroup("x", (0, True, True, 0)),
+        TypeError,
+        "FiniteGroup table entries must be ints, not bool",
+    ),
+    row(
         "finite_groups.FiniteGroup.table_type",
         lambda: finite_groups.FiniteGroup("x", [0]),
         TypeError,
@@ -222,7 +243,7 @@ REFUSALS = [
     ),
     row(
         "numbers.SlopeGroup.factor.mixed",
-        lambda: SlopeGroup.of(2, ExactNumber.quadratic(1, 1)).factor(N(2)),
+        lambda: SlopeGroup.of(2, ExactNumber(1, 1)).factor(N(2)),
         ValueError,
         "factoring over mixed quadratic multi-generator groups is not supported",
     ),
@@ -321,3 +342,15 @@ def test_refusal(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as caught:
         call()
     assert type(caught.value) is error
+
+
+def test_handle_reduction_cap_raises(monkeypatch):
+    # s1 s2 s1^-1 has one handle: a cap of 1 lets it reduce to
+    # s2^-1 s1 s2, and a cap of 0 is breached at once.
+    word = BraidWord(3, (1, 2, -1))
+    monkeypatch.setattr(braids, "CAP_PER_PAIR", 0)
+    monkeypatch.setattr(braids, "CAP_BASE", 1)
+    assert braids.handle_reduce(word).letters == (-2, 1, 2)
+    monkeypatch.setattr(braids, "CAP_BASE", 0)
+    with pytest.raises(braids.HandleReductionCap, match="no normal form after 1 handle reductions"):
+        braids.handle_reduce(word)

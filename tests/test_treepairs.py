@@ -18,7 +18,6 @@ from rinfinity.treepairs import (
     expansion,
     f_characters,
     format_tree,
-    from_pl,
     inverse,
     leaf_count,
     leaf_intervals,
@@ -30,7 +29,7 @@ from rinfinity.treepairs import (
     to_pl,
 )
 
-from oracles import random_tree
+from oracles import from_pl, random_tree
 
 R = ExactNumber.rational
 LETTERS = (X0, X1, inverse(X0), inverse(X1))

@@ -39,7 +39,7 @@ SAMPLES = [
         lodha_moore.RelationCheck("r1", "s=0", "fail", "why"),
         ("relation", "instance", "status", "detail"),
     ),
-    (numbers.ExactNumber.quadratic(1, 2), ("a", "b")),
+    (numbers.ExactNumber(1, 2), ("a", "b")),
     (numbers.AdditiveGroup.z_inv(6), ("kind", "n")),
     (numbers.SlopeGroup.of(2, 3), ("generators",)),
     (to_pl(X0), ("ell", "breakpoints", "slopes")),

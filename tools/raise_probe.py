@@ -8,6 +8,8 @@ only, so it runs several times slower than the suite alone).  A raise is
 reached when any of its lines runs; a function when it is called.  The
 report prints each unreached raise and function as path:line, then the
 counts and pytest's exit status.  Code run in a subprocess is not seen.
+The exit status is pytest's when the suite fails, else 1 when any raise
+or function is unreached, else 0.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def main(args: list[str]) -> int:
         f"{len(unreached_raises)} of {n_raises} raise statements and "
         f"{len(unreached_functions)} of {n_functions} functions unreached; pytest exit status {int(status)}"
     )
-    return int(status)
+    return int(status) or int(bool(unreached_raises or unreached_functions))
 
 
 if __name__ == "__main__":
